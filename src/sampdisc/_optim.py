@@ -1,14 +1,22 @@
-"""Deterministic projected-gradient search on coefficient spheres.
+"""Deterministic solvers shared by the norm and recovery modules.
 
-Used to extremize ratios of discrete to continuous p-th power norms.
+``extremize_ratio`` is a projected-gradient search on coefficient spheres,
+used to extremize ratios of discrete to continuous p-th power norms.
 Restarts run as one batched numpy computation; every restart derives its
 step size independently, and ties between equally good optima are broken
 by the lowest restart index, so results do not depend on scheduling.
+
+``lawson`` is the discrete minimax fit (Lawson's reweighting), used for
+best approximation and recovery at p = inf.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from . import tolerances
 
 
 def _power_sum(Y, w, p):
@@ -87,3 +95,46 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, iters=150,
     best = int(np.argmax(ratios)) if maximize else int(np.argmin(ratios))
     report = {"iterations": it + 1, "restarts": int(C.shape[0])}
     return float(ratios[best]), C[best], report
+
+
+def weighted_lstsq(U, y, w):
+    """Minimizer of ``sum w |y - U c|^2`` (minimum-norm if rank-deficient)
+    and the rank of the weighted system."""
+    sw = np.sqrt(w)
+    c, _, rank, _ = np.linalg.lstsq(U * sw[:, None], y * sw, rcond=None)
+    return c, rank
+
+
+def lawson(U, y, w):
+    """Discrete minimax fit ``min_c max_j |y_j - (U c)_j|`` by Lawson's reweighting.
+
+    Starts from the positive weights ``w`` and multiplies them by the
+    residual moduli after each weighted least-squares step. Stops when the
+    maximum residual moved by at most ``0.1 * minimax_rel`` relative over
+    the last 11 steps, or after 300 steps; this stall rule does not bound
+    the relative error by ``minimax_rel``.
+
+    Returns ``(c, max_residual, report)`` for the best iterate; the report
+    holds ``iterations`` and ``lower_bound``. With the step's weights
+    scaled to sum 1, its root weighted mean square residual is the least
+    over all c, hence at most any c's maximum residual; ``lower_bound`` is
+    the largest such value over the steps.
+    """
+    rel = tolerances.get("minimax_rel")
+    omega = np.asarray(w, dtype=float)
+    best_val, best_c = math.inf, np.zeros(U.shape[1], dtype=complex)
+    lower = 0.0
+    history = []
+    for it in range(1, 301):
+        c, _ = weighted_lstsq(U, y, omega)
+        r = np.abs(y - U @ c)
+        mx = float(np.max(r))
+        lower = max(lower, math.sqrt(float(np.sum(omega * r * r) / np.sum(omega))))
+        if mx < best_val:
+            best_val, best_c = mx, c
+        history.append(mx)
+        if len(history) > 12 and abs(history[-1] - history[-12]) <= 0.1 * rel * max(history[-1], 1e-30):
+            break
+        omega = omega * (r + 1e-300)
+        omega /= np.sum(omega)
+    return best_c, best_val, {"iterations": it, "lower_bound": lower}

@@ -123,8 +123,7 @@ def _validate(config: ExperimentConfig) -> None:
         config.get("sample.mode") in ("iid", "leverage"))
     if randomized and config.get("seed") is None:
         raise ConfigError("seed", "randomized experiments require a seed")
-    eps = config.get("eps")
-    if eps is not None and not 0 < eps < 1:
+    if config.get("eps") is not None and not 0 < config.need("eps", float) < 1:
         raise ConfigError("eps", "eps must lie in (0, 1)")
     for path in ("Ns", "ns"):
         rng = config.get(path)
@@ -136,21 +135,23 @@ def _build_space(config: ExperimentConfig, path="space"):
     desc = config.need(path, dict)
     try:
         return space_from_dict(desc)
-    except SampdiscError as exc:
+    except KeyError as exc:
+        raise ConfigError(f"{path}.{exc.args[0]}", "missing required field") from exc
+    except (SampdiscError, TypeError, ValueError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
 def _build_sample(space, config: ExperimentConfig, path="sample"):
     desc = config.need(path, dict)
     mode = desc.get("mode")
+    m = config.need(f"{path}.m", int) if "m" in desc else None
     if mode in ("iid", "leverage"):
         seed = desc.get("seed", config.get("seed"))
         if seed is None:
             raise ConfigError(f"{path}.seed", "random sampling requires a seed")
-        return generate_points(space, mode, int(desc.get("m", 0)), seed=seed)
+        return generate_points(space, mode, m, seed=seed)
     if mode == "equispaced":
-        return generate_points(space, "equispaced", desc.get("m"),
-                               sizes=desc.get("sizes"))
+        return generate_points(space, "equispaced", m, sizes=desc.get("sizes"))
     if mode == "tensor":
         if space.factors is None:
             raise ConfigError(path, "tensor sampling needs a tensor-product space")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,8 +43,7 @@ from .errors import (
     SearchFailedError,
     UnsupportedDomainError,
 )
-from .norms import torus_grid
-from .spaces import TWO_PI, CoefficientVector, DiscreteSpace, Subspace, TrigSpace
+from .spaces import TWO_PI, CoefficientVector, Subspace, TrigSpace, torus_grid
 
 logger = logging.getLogger(__name__)
 
@@ -153,18 +152,6 @@ class Certificate:
 # point generation
 
 
-def _chr_density(space: Subspace, points) -> np.ndarray:
-    T = norms.orthonormal_transform(space)
-    W = space.basis_values(points) @ T
-    return np.sum(np.abs(W) ** 2, axis=1)
-
-
-def _draw_base(space: Subspace, rng, count):
-    if isinstance(space, DiscreteSpace):
-        return rng.integers(0, space.domain.size, size=count)
-    return rng.uniform(0.0, TWO_PI, size=(count, space.domain.dim))
-
-
 def generate_points(space: Subspace, mode: str, m: int | None = None, *,
                     sizes=None, factors=None, seed=None):
     """Generate a candidate point set for the given space.
@@ -175,14 +162,15 @@ def generate_points(space: Subspace, mode: str, m: int | None = None, *,
     ``leverage`` draws from the normalized Christoffel density by
     rejection sampling and attaches the matching reciprocal weights.
     """
-    if mode == "iid":
+    if mode in ("iid", "leverage"):
         if seed is None:
-            raise MissingSeedError("iid generation requires a seed")
+            raise MissingSeedError(f"{mode} generation requires a seed")
         if m is None or m < 1:
             raise InvalidSampleError("need m >= 1 points")
         rng = np.random.default_rng(seed)
-        pts = _draw_base(space, rng, m)
-        return PointSet(pts, {"mode": "iid", "seed": _seed_repr(seed), "m": int(m)})
+
+    if mode == "iid":
+        return PointSet(space.draw(rng, m), {"mode": "iid", "seed": _seed_repr(seed), "m": int(m)})
 
     if mode == "equispaced":
         if not isinstance(space, TrigSpace):
@@ -225,11 +213,6 @@ def generate_points(space: Subspace, mode: str, m: int | None = None, *,
         return PointSet(out, prov, factors=factors)
 
     if mode == "leverage":
-        if seed is None:
-            raise MissingSeedError("leverage generation requires a seed")
-        if m is None or m < 1:
-            raise InvalidSampleError("need m >= 1 points")
-        rng = np.random.default_rng(seed)
         n = space.dim
         t = norms.christoffel_sup(space)
         envelope = n * t * t * (1.0 + 1e-9)
@@ -237,14 +220,14 @@ def generate_points(space: Subspace, mode: str, m: int | None = None, *,
         proposals = 0
         while sum(a.shape[0] for a in accepted) < m:
             batch = max(2 * m, 64)
-            pts = _draw_base(space, rng, batch)
-            k = _chr_density(space, pts)
+            pts = space.draw(rng, batch)
+            k = norms.christoffel_density(space, pts)
             u = rng.uniform(0.0, 1.0, size=batch)
             keep = u <= k / envelope
             proposals += batch
             accepted.append(pts[keep])
         pts = np.concatenate(accepted, axis=0)[:m]
-        k = _chr_density(space, pts)
+        k = norms.christoffel_density(space, pts)
         weights = n / (m * k)
         prov = {"mode": "leverage", "seed": _seed_repr(seed), "m": int(m),
                 "acceptance_rate": m / proposals if proposals else 1.0}
@@ -326,11 +309,7 @@ def _sup_certificate(space, sample, budget) -> Certificate:
     # smoothed max: power mean with a large even exponent steers the
     # search, the reported constant is the true ratio at the best point
     U = space.basis_values(sample.points)
-    if isinstance(space, DiscreteSpace):
-        grid = np.arange(space.domain.size)
-    else:
-        grid = torus_grid([max(96 * deg, 96) for deg in space.degrees])
-    V = space.basis_values(grid)
+    V = space.basis_values(space.grid([max(96 * deg, 96) for deg in space.degrees]))
     p_smooth = 64.0
     wnum = np.full(U.shape[0], 1.0 / U.shape[0])
     wden = np.full(V.shape[0], 1.0 / V.shape[0])
@@ -378,16 +357,12 @@ def certify(space: Subspace, sample: PointSet, p, budget: int = 64) -> Certifica
 
 def _oracle_rule(space: Subspace, p):
     """Independent quadrature for the oracle: plain equispaced means."""
-    if isinstance(space, DiscreteSpace):
-        s = space.domain.size
-        return space.values, np.full(s, 1.0 / s)
     if float(p) == int(p) and int(p) % 2 == 0:
         sizes = [int(p) * deg + 1 for deg in space.degrees]
     else:
-        d = space.domain.dim
-        per = {1: 512, 2: 64}.get(d, 24)
+        per = {1: 512, 2: 64}.get(len(space.degrees), 24)
         sizes = [max(per, 4 * deg + 1) for deg in space.degrees]
-    grid = torus_grid(sizes)
+    grid = space.grid(sizes)
     return space.basis_values(grid), np.full(grid.shape[0], 1.0 / grid.shape[0])
 
 
@@ -422,13 +397,14 @@ def brute_force_certificate(space: Subspace, sample: PointSet, p,
     n = space.dim
     if n > 3:
         raise OracleTooLargeError("brute-force oracle supports N <= 3 only")
-    w, _ = _sample_weights(sample)
+    w, weighted = _sample_weights(sample)
     U = space.basis_values(sample.points)
     V, gamma = _oracle_rule(space, p)
     tol = max(1e-6, 1e-3 * (200.0 / resolution) ** 2)
     if n == 1:
         r = float(_oracle_ratios(np.ones((1, 1), dtype=complex), U, w, V, gamma, p)[0])
-        return Certificate(float(p), r, r, "brute-force", "certified", tolerance=tol)
+        return Certificate(float(p), r, r, "brute-force", "certified", tolerance=tol,
+                           weighted=weighted)
 
     rng = np.random.default_rng((0x0AC, n, int(resolution)))
     total = min(resolution ** (2 * n - 2), 120_000)
@@ -460,7 +436,8 @@ def brute_force_certificate(space: Subspace, sample: PointSet, p,
                 if r[i] > hi:
                     hi, c_hi = float(r[i]), C[i]
         h /= 4.0
-    return Certificate(float(p), max(lo, 0.0), hi, "brute-force", "certified", tolerance=tol)
+    return Certificate(float(p), max(lo, 0.0), hi, "brute-force", "certified", tolerance=tol,
+                       weighted=weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +611,5 @@ def extract_factor(space: TrigSpace, tensor_sample: PointSet, index: int,
     for i, fac in enumerate(space.factors):
         if not fac.contains_constant:
             raise FactorExtractionError(f"tensor factor {i} does not contain the constants")
-    transferred = Certificate(tensor_cert.p, tensor_cert.c1_pow, tensor_cert.c2_pow,
-                              "transfer", tensor_cert.status, tensor_cert.tolerance,
-                              tensor_cert.weighted)
+    transferred = replace(tensor_cert, method="transfer")
     return tensor_sample.factors[index], transferred

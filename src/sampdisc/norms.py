@@ -9,8 +9,7 @@ grid is refined dyadically until two successive values agree to the
 absolute terms for the well-scaled functions this toolkit produces.
 
 Sup norms of torus functions are grid searches with local refinement and
-are therefore lower estimates (documented relative tolerance ``sup_rel``).
-Finite-domain norms are exact weighted sums.
+are therefore lower estimates. Finite-domain norms are exact weighted sums.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import math
 
 import numpy as np
 
-from . import tolerances
+from . import _optim, tolerances
 from .errors import (
     DegenerateSpaceError,
     InvalidExponentError,
@@ -30,11 +29,11 @@ from .errors import (
 from .spaces import (
     TWO_PI,
     CoefficientVector,
-    DiscreteSpace,
     Subspace,
     TrigSpace,
     evaluate,
 )
+from .spaces import torus_grid  # noqa: F401  (part of this module's interface)
 
 __all__ = [
     "SampleVector",
@@ -82,40 +81,39 @@ class NikolskiiEstimate:
         return f"NikolskiiEstimate(q={self.q}, M={self.M:.6g}, B={self.B:.6g}, method={self.method!r})"
 
 
-def sample_function(target, pointset, space: Subspace | None = None) -> SampleVector:
-    """Build the sample vector of ``target`` at the nodes of ``pointset``.
+def call_target(target, points) -> np.ndarray:
+    """Values of ``target`` at ``points``.
 
     ``target`` may be a CoefficientVector or a callable. Callables receive
-    the node array (flattened to shape (m,) on one-dimensional domains)
-    and must return one value per node.
+    the point array (flattened to shape (m,) on one-dimensional domains)
+    and must return one value per point.
     """
-    pts = np.asarray(pointset.points)
+    pts = np.asarray(points)
     if isinstance(target, CoefficientVector):
-        return SampleVector(evaluate(target, pts), source=pointset)
-    if callable(target):
-        args = pts[:, 0] if pts.ndim == 2 and pts.shape[1] == 1 else pts
-        try:
-            vals = np.asarray(target(args), dtype=complex).reshape(-1)
-        except Exception as exc:
-            raise InvalidTargetError(f"target is not evaluable on the domain: {exc}") from exc
-        if vals.shape[0] != pts.shape[0]:
-            raise InvalidTargetError("target returned the wrong number of values")
-        return SampleVector(vals, source=pointset)
-    raise InvalidTargetError(f"cannot evaluate target of type {type(target).__name__}")
+        return evaluate(target, pts)
+    if not callable(target):
+        raise InvalidTargetError(f"cannot evaluate target of type {type(target).__name__}")
+    args = pts[:, 0] if pts.ndim == 2 and pts.shape[1] == 1 else pts
+    try:
+        vals = np.asarray(target(args), dtype=complex).reshape(-1)
+    except Exception as exc:
+        raise InvalidTargetError(f"target is not evaluable on the domain: {exc}") from exc
+    if vals.shape[0] != pts.shape[0]:
+        raise InvalidTargetError("target returned the wrong number of values")
+    return vals
+
+
+def sample_function(target, pointset, space: Subspace | None = None) -> SampleVector:
+    """Build the sample vector of ``target`` at the nodes of ``pointset``;
+    see :func:`call_target` for the accepted targets."""
+    return SampleVector(call_target(target, pointset.points), source=pointset)
 
 
 # ---------------------------------------------------------------------------
 # quadrature grids
 
 
-def torus_grid(sizes) -> np.ndarray:
-    """Equispaced product grid on the torus, shape (prod(sizes), d)."""
-    axes = [np.arange(n) * (TWO_PI / n) for n in sizes]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-def _even_sizes(space: TrigSpace, p: int):
+def _even_sizes(space: Subspace, p: int):
     return [max(int(p) * deg + 1, 1) for deg in space.degrees]
 
 
@@ -130,17 +128,35 @@ def power_rule(space: Subspace, p):
     other exponents this is a dense-grid relaxation sized generously for
     the space's degree.
     """
-    if isinstance(space, DiscreteSpace):
-        s = space.domain.size
-        return space.values, np.full(s, 1.0 / s)
     if _is_even_integer(p):
         sizes = _even_sizes(space, int(p))
     else:
-        d = space.domain.dim
-        floor = {1: 1024, 2: 96}.get(d, 32)
+        floor = {1: 1024, 2: 96}.get(len(space.degrees), 32)
         sizes = [max(16 * deg + 1, floor) for deg in space.degrees]
-    grid = torus_grid(sizes)
+    grid = space.grid(sizes)
     return space.basis_values(grid), np.full(grid.shape[0], 1.0 / grid.shape[0])
+
+
+def _power_mean(vals, p) -> float:
+    return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
+
+
+def _refined_norm(values_on, space: Subspace, sizes, p) -> float:
+    """L_p norm of ``values_on(grid)`` over the space's domain.
+
+    Starts from the grid with ``sizes`` nodes per coordinate and doubles
+    them until two successive values agree to ``quad_stop``. A finite
+    domain's grid is all of its points, so its first value is exact.
+    """
+    stop = tolerances.get("quad_stop")
+    prev = None
+    while True:
+        cur = _power_mean(values_on(space.grid(sizes)), p)
+        converged = prev is not None and abs(cur - prev) <= stop * max(1.0, abs(prev))
+        if converged or not sizes or math.prod(sizes) * (2 ** len(sizes)) > _MAX_GRID:
+            return cur
+        prev = cur
+        sizes = [2 * n for n in sizes]
 
 
 def norm_p(f: CoefficientVector, p) -> float:
@@ -154,29 +170,13 @@ def norm_p(f: CoefficientVector, p) -> float:
     if p < 1:
         raise InvalidExponentError("norm exponent must satisfy p >= 1")
     space = f.space
-    if isinstance(space, DiscreteSpace):
-        vals = space.values @ f.coefficients
-        return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
     if _is_even_integer(p):
-        grid = torus_grid(_even_sizes(space, int(p)))
-        vals = evaluate(f, grid)
-        return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
-    # dyadic refinement until two successive grids agree
-    stop = tolerances.get("quad_stop")
-    sizes = [max(2 * deg + 1, 32) for deg in space.degrees]
-    prev = None
-    while True:
-        vals = evaluate(f, torus_grid(sizes))
-        cur = float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
-        if prev is not None and abs(cur - prev) <= stop * max(1.0, abs(prev)):
-            return cur
-        if math.prod(sizes) * (2 ** len(sizes)) > _MAX_GRID:
-            return cur
-        prev = cur
-        sizes = [2 * n for n in sizes]
+        return _power_mean(evaluate(f, space.grid(_even_sizes(space, int(p)))), p)
+    return _refined_norm(lambda x: evaluate(f, x), space,
+                         [max(2 * deg + 1, 32) for deg in space.degrees], p)
 
 
-def handle_norm_p(handle, space: TrigSpace, p) -> float:
+def handle_norm_p(handle, space: Subspace, p) -> float:
     """L_p norm of an arbitrary function handle over the space's domain.
 
     Used when the integrand is not an element of a known subspace (e.g.
@@ -184,27 +184,8 @@ def handle_norm_p(handle, space: TrigSpace, p) -> float:
     """
     if p < 1:
         raise InvalidExponentError("norm exponent must satisfy p >= 1")
-    if isinstance(space, DiscreteSpace):
-        idx = np.arange(space.domain.size)
-        vals = np.asarray(handle(idx), dtype=complex)
-        return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
-    stop = tolerances.get("quad_stop")
-    sizes = [max(4 * deg + 1, 64) for deg in space.degrees]
-    prev = None
-    while True:
-        grid = torus_grid(sizes)
-        args = grid[:, 0] if grid.shape[1] == 1 else grid
-        try:
-            vals = np.asarray(handle(args), dtype=complex).reshape(-1)
-        except Exception as exc:
-            raise InvalidTargetError(f"target is not evaluable on the domain: {exc}") from exc
-        cur = float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
-        if prev is not None and abs(cur - prev) <= stop * max(1.0, abs(prev)):
-            return cur
-        if math.prod(sizes) * (2 ** len(sizes)) > _MAX_GRID:
-            return cur
-        prev = cur
-        sizes = [2 * n for n in sizes]
+    return _refined_norm(lambda x: call_target(handle, x), space,
+                         [max(4 * deg + 1, 64) for deg in space.degrees], p)
 
 
 # ---------------------------------------------------------------------------
@@ -238,21 +219,17 @@ def sup_argmax(f: CoefficientVector, grid_factor: int = 64):
     refinement. Finite domains are scanned exactly.
     """
     space = f.space
-    if isinstance(space, DiscreteSpace):
-        vals = np.abs(space.values @ f.coefficients)
-        j = int(np.argmax(vals))
-        return float(vals[j]), np.array([j])
     sizes = [max(grid_factor * deg, grid_factor) for deg in space.degrees]
-    grid = torus_grid(sizes)
+    grid = space.grid(sizes)
     vals = np.abs(evaluate(f, grid))
     j = int(np.argmax(vals))
     best_val = float(vals[j])
-    x = grid[j].copy()
-    d = space.domain.dim
-    sweeps = 1 if d == 1 else 2
-    for _ in range(sweeps):
-        for axis in range(d):
-            h = TWO_PI / sizes[axis]
+    x = np.atleast_1d(grid[j]).copy()
+    if not sizes:  # a finite domain has no coordinates to refine
+        return best_val, x
+    for _ in range(1 if len(sizes) == 1 else 2):
+        for axis, n in enumerate(sizes):
+            h = TWO_PI / n
 
             def along(t, _axis=axis):
                 y = x.copy()
@@ -267,8 +244,8 @@ def sup_argmax(f: CoefficientVector, grid_factor: int = 64):
 
 
 def norm_sup(f: CoefficientVector) -> float:
-    """Uniform norm; exact on finite domains, a documented lower estimate
-    (relative tolerance ``sup_rel``) on the torus."""
+    """Uniform norm; exact on finite domains, a grid-search lower estimate
+    on the torus (see :func:`sup_argmax`)."""
     return sup_argmax(f)[0]
 
 
@@ -327,89 +304,37 @@ def pnorm_objective(V, gamma, target_vals, p):
     return value, grad
 
 
-def _target_on_grid(target, space, grid):
-    if isinstance(target, CoefficientVector):
-        return evaluate(target, grid)
-    if isinstance(target, SampleVector):
-        raise InvalidTargetError("sample-vector targets are evaluated on their own source grid")
-    if callable(target):
-        if isinstance(space, DiscreteSpace):
-            args = grid
-        else:
-            args = grid[:, 0] if grid.shape[1] == 1 else grid
-        try:
-            vals = np.asarray(target(args), dtype=complex).reshape(-1)
-        except Exception as exc:
-            raise InvalidTargetError(f"target is not evaluable on the domain: {exc}") from exc
-        if vals.shape[0] != grid.shape[0]:
-            raise InvalidTargetError("target returned the wrong number of values")
-        return vals
-    raise InvalidTargetError(f"cannot evaluate target of type {type(target).__name__}")
-
-
 def _approx_grid(target, space, base_floor):
     """Grid, weights, and target values for the approximation solvers."""
-    if isinstance(space, DiscreteSpace):
-        grid = np.arange(space.domain.size)
-        gamma = np.full(grid.shape[0], 1.0 / grid.shape[0])
-        return grid, gamma, _target_on_grid(target, space, grid)
     if isinstance(target, SampleVector):
         if target.source is None:
             raise InvalidTargetError("sample-vector target has no source point set")
         grid = np.asarray(target.source.points)
-        gamma = np.full(grid.shape[0], 1.0 / grid.shape[0])
-        return grid, gamma, target.values
-    sizes = [max(64 * deg, base_floor) for deg in space.degrees]
-    grid = torus_grid(sizes)
-    gamma = np.full(grid.shape[0], 1.0 / grid.shape[0])
-    return grid, gamma, _target_on_grid(target, space, grid)
+        t = target.values
+    else:
+        grid = space.grid([max(64 * deg, base_floor) for deg in space.degrees])
+        t = call_target(target, grid)
+    return grid, np.full(grid.shape[0], 1.0 / grid.shape[0]), t
 
 
-def _project_l2(target, space, refine=True):
+def _project_l2(target, space):
     """Orthogonal projection via the exact Gram system; grid right-hand side."""
     B = space.coef_gram()
     last_c = None
-    floor = 256 if getattr(space.domain, "dim", 1) == 1 else 64
+    floor = 256 if len(space.degrees) == 1 else 64
+    # a sample target's grid is its source, a finite domain's grid is all of it
+    fixed_grid = isinstance(target, SampleVector) or not space.degrees
     while True:
         grid, gamma, t = _approx_grid(target, space, floor)
         V = space.basis_values(grid)
         rhs = V.conj().T @ (gamma * t)
         c = np.linalg.solve(B, rhs)
         dist = float(np.sqrt(np.sum(gamma * np.abs(t - V @ c) ** 2)))
-        fixed_grid = isinstance(space, DiscreteSpace) or isinstance(target, SampleVector)
-        if not refine or fixed_grid:
-            return c, dist, (grid, gamma, t, V)
-        if last_c is not None and np.max(np.abs(c - last_c)) <= 1e-10 and abs(dist - last_d) <= 1e-9:
-            return c, dist, (grid, gamma, t, V)
-        if grid.shape[0] * 2 > _MAX_GRID:
+        converged = last_c is not None and np.max(np.abs(c - last_c)) <= 1e-10 and abs(dist - last_d) <= 1e-9
+        if converged or fixed_grid or grid.shape[0] * 2 > _MAX_GRID:
             return c, dist, (grid, gamma, t, V)
         last_c, last_d = c, dist
         floor = 2 * max(floor, max(64 * deg for deg in space.degrees))
-
-
-def _lawson_minimax(target, space):
-    """Discrete minimax fit on a fine grid by Lawson's reweighting."""
-    floor = 512 if getattr(space.domain, "dim", 1) == 1 else 128
-    grid, _, t = _approx_grid(target, space, floor)
-    V = space.basis_values(grid)
-    G = grid.shape[0]
-    w = np.full(G, 1.0 / G)
-    best_val, best_c = math.inf, np.zeros(space.dim, dtype=complex)
-    history = []
-    rel = tolerances.get("minimax_rel")
-    for _ in range(400):
-        sw = np.sqrt(w)
-        c = np.linalg.lstsq(V * sw[:, None], t * sw, rcond=None)[0]
-        r = np.abs(t - V @ c)
-        mx = float(np.max(r))
-        if mx < best_val:
-            best_val, best_c = mx, c
-        history.append(mx)
-        if len(history) > 12 and abs(history[-1] - history[-12]) <= 0.1 * rel * max(history[-1], 1e-30):
-            break
-        w = w * (r + 1e-300)
-        w /= np.sum(w)
-    return best_c, best_val
 
 
 def best_approx(target, space: Subspace, p):
@@ -418,18 +343,20 @@ def best_approx(target, space: Subspace, p):
     Returns ``(projection, distance)``. The distance is computed on a
     grid and therefore approximates the true distance from below; for
     p = 2 the projection itself is the exact orthogonal one. The p = inf
-    branch is a discrete minimax (relative tolerance ``minimax_rel``),
-    other exponents use convex descent to the ``descent_tol`` first-order
-    tolerance.
+    branch is a discrete minimax fit by :func:`_optim.lawson`, which stops
+    when its maximum residual stalls and is not held to a stated relative
+    accuracy. Other exponents use convex descent to the ``descent_tol``
+    first-order tolerance.
     """
     if p != math.inf and p < 1:
         raise InvalidExponentError("norm exponent must satisfy p >= 1")
+    if p == math.inf:
+        grid, gamma, t = _approx_grid(target, space, 512 if len(space.degrees) == 1 else 128)
+        c, dist, _ = _optim.lawson(space.basis_values(grid), t, gamma)
+        return CoefficientVector(space, c), dist
     c2, dist2, cache = _project_l2(target, space)
     if p == 2:
         return CoefficientVector(space, c2), dist2
-    if p == math.inf:
-        c, dist = _lawson_minimax(target, space)
-        return CoefficientVector(space, c), dist
     grid, gamma, t, V = cache
     value, grad = pnorm_objective(V, gamma, t, p)
     c = c2.copy()
@@ -485,10 +412,14 @@ def christoffel_sup(space: Subspace) -> float:
     """
     if isinstance(space, TrigSpace):
         return 1.0
-    T = orthonormal_transform(space)
-    W = space.values @ T
-    k = np.sum(np.abs(W) ** 2, axis=1)
+    k = christoffel_density(space, space.grid(()))
     return float(math.sqrt(np.max(k) / space.dim))
+
+
+def christoffel_density(space: Subspace, points) -> np.ndarray:
+    """``sum_i |u_i(x)|^2`` of the orthonormalized basis at each point."""
+    W = space.basis_values(points) @ orthonormal_transform(space)
+    return np.sum(np.abs(W) ** 2, axis=1)
 
 
 def _nikolskii_search(space: Subspace, q: float):
@@ -496,10 +427,7 @@ def _nikolskii_search(space: Subspace, q: float):
     Vq, gq = power_rule(space, q)
     orthonormal_transform(space)  # rejects rank-deficient bases up front
     n = space.dim
-    if isinstance(space, DiscreteSpace):
-        sup_grid = np.arange(space.domain.size)
-    else:
-        sup_grid = torus_grid([max(64 * deg, 64) for deg in space.degrees])
+    sup_grid = space.grid([max(64 * deg, 64) for deg in space.degrees])
     Vs = space.basis_values(sup_grid)
 
     def ratio_parts(c):
@@ -509,8 +437,9 @@ def _nikolskii_search(space: Subspace, q: float):
         sq = float(np.sum(gq * np.abs(qv) ** q))
         return float(sv[j]), j, qv, sq
 
-    # the conjugated-peak start is the exact extremizer for flat systems
-    peak = space.basis_values(np.zeros((1, space.domain.dim)) if isinstance(space, TrigSpace) else np.array([0]))
+    # the conjugated-peak start is the exact extremizer for flat systems; the
+    # peak is at the grid's first point (the torus origin, or point 0)
+    peak = space.basis_values(sup_grid[:1])
     starts = [np.conj(peak).ravel(), np.ones(n, dtype=complex)]
     rng = np.random.default_rng((101, n, int(round(q * 1000))))
     for _ in range(6):

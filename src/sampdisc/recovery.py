@@ -15,12 +15,13 @@ discretization assumption the bound rests on.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
-from . import tolerances
-from .discretization import Certificate, PointSet, WeightedPointSet, certify
+from . import _optim, tolerances
+from .discretization import Certificate, PointSet, _sample_weights, certify
 from .errors import (
     HeuristicCertificateError,
     InvalidExponentError,
@@ -28,7 +29,7 @@ from .errors import (
     InvalidWeightError,
     UnboundedBoundError,
 )
-from .norms import SampleVector, best_approx, handle_norm_p, sample_function
+from .norms import SampleVector, best_approx, call_target, handle_norm_p, sample_function
 from .spaces import CoefficientVector, Subspace, evaluate
 
 __all__ = [
@@ -96,16 +97,25 @@ class RecoveryBoundReport:
         }
 
 
-def _weighted_lstsq(U, y, w):
-    sw = np.sqrt(w)
-    c, _, rank, _ = np.linalg.lstsq(U * sw[:, None], y * sw, rcond=None)
-    return c, rank
-
-
 def _sample_gradient(U, y, w, c, p):
     r = y - U @ c
     a = np.maximum(np.abs(r), 1e-300)
     return -p * (U.conj().T @ (w * a ** (p - 2.0) * r)), r
+
+
+def _halving_step(U, y, w, p, c, obj, direction, t_min):
+    """``(c', obj', r')`` for the first ``c' = c + t * direction``, t = 1, 1/2,
+    ... down to ``t_min``, that lowers ``sum w |y - U c|^p`` below ``obj``;
+    None if none does."""
+    t = 1.0
+    while t > t_min:
+        cand = c + t * direction
+        r = y - U @ cand
+        val = float(np.sum(w * np.abs(r) ** p))
+        if val < obj - 1e-16:
+            return cand, val, r
+        t *= 0.5
+    return None
 
 
 def lpw_recover(samples: SampleVector, space: Subspace, p, weights) -> RecoveryResult:
@@ -115,8 +125,10 @@ def lpw_recover(samples: SampleVector, space: Subspace, p, weights) -> RecoveryR
     factorization; rank-deficient systems return the minimum-norm
     solution with the ``degenerate`` flag set. Other finite p run damped
     IRLS from the p = 2 solution until the first-order measure drops
-    below ``recovery_tol``. p = inf runs the same reweighting in Lawson
-    form on the samples (advisory; see the bound's p = inf caveats).
+    below ``recovery_tol``. p = inf runs :func:`_optim.lawson` on the
+    samples from the given weights (advisory; see the bound's p = inf
+    caveats); its report carries Lawson's ``lower_bound`` on the minimax
+    residual.
     """
     if samples.source is None:
         raise InvalidSampleError("sample vector must reference its point set")
@@ -131,67 +143,32 @@ def lpw_recover(samples: SampleVector, space: Subspace, p, weights) -> RecoveryR
         raise InvalidWeightError("weights must be strictly positive")
     U = space.basis_values(samples.source.points)
 
-    c, rank = _weighted_lstsq(U, y, w)
+    c, rank = _optim.weighted_lstsq(U, y, w)
     degenerate = rank < space.dim
-    if p == 2:
-        g, r = _sample_gradient(U, y, w, c, 2.0)
-        report = {"iterations": 1, "final_grad_norm": float(np.linalg.norm(g))}
-        resid = float(np.sum(w * np.abs(r) ** 2) ** 0.5)
-        return RecoveryResult(CoefficientVector(space, c), resid, p, w, report, degenerate)
-
     if p == math.inf:
-        omega = w / np.sum(w)
-        best = (math.inf, c)
-        for it in range(300):
-            c_new, _ = _weighted_lstsq(U, y, omega)
-            r = np.abs(y - U @ c_new)
-            mx = float(np.max(r))
-            if mx < best[0]:
-                best = (mx, c_new)
-            omega = omega * (r + 1e-300)
-            omega /= np.sum(omega)
-        report = {"iterations": it + 1, "final_grad_norm": math.nan}
-        return RecoveryResult(CoefficientVector(space, best[1]), best[0], p, w, report, degenerate)
+        c, resid, report = _optim.lawson(U, y, w)
+        report["final_grad_norm"] = math.nan
+        return RecoveryResult(CoefficientVector(space, c), resid, p, w, report, degenerate)
 
     tol = tolerances.get("recovery_tol")
     g, r = _sample_gradient(U, y, w, c, p)
     scale = max(1.0, float(np.linalg.norm(g)))
     obj = float(np.sum(w * np.abs(r) ** p))
-    iterations = 0
     for iterations in range(1, 301):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol * scale:
+        # at p = 2 the least-squares solution is the exact minimizer
+        if p == 2 or float(np.linalg.norm(g)) <= tol * scale:
             break
         # IRLS proposal; residual moduli and weights clipped below to keep
         # the reweighted system finite near exact fits
         a = np.maximum(np.abs(r), 1e-12)
         omega = np.maximum(w * a ** (p - 2.0), 1e-12)
-        c_prop, _ = _weighted_lstsq(U, y, omega)
-        moved = False
-        t = 1.0
-        while t > 1e-14:
-            cand = c + t * (c_prop - c)
-            r_cand = y - U @ cand
-            obj_cand = float(np.sum(w * np.abs(r_cand) ** p))
-            if obj_cand < obj - 1e-16:
-                c, obj, r = cand, obj_cand, r_cand
-                moved = True
-                break
-            t *= 0.5
-        if not moved:
-            # gradient fallback with step halving
-            t = 1.0
-            while t > 1e-16:
-                cand = c - t * g
-                r_cand = y - U @ cand
-                obj_cand = float(np.sum(w * np.abs(r_cand) ** p))
-                if obj_cand < obj - 1e-16:
-                    c, obj, r = cand, obj_cand, r_cand
-                    moved = True
-                    break
-                t *= 0.5
-            if not moved:
-                break
+        c_prop, _ = _optim.weighted_lstsq(U, y, omega)
+        # the IRLS step, with the gradient as fallback
+        moved = (_halving_step(U, y, w, p, c, obj, c_prop - c, 1e-14)
+                or _halving_step(U, y, w, p, c, obj, -g, 1e-16))
+        if moved is None:
+            break
+        c, obj, r = moved
         g, r = _sample_gradient(U, y, w, c, p)
     report = {"iterations": iterations,
               "final_grad_norm": float(np.linalg.norm(g))}
@@ -227,14 +204,6 @@ def recovery_bound(cert: Certificate, weights, p) -> float:
     return 2.0 / c1_norm * c2 ** (1.0 / p) + 1.0
 
 
-def _as_handle(f):
-    if isinstance(f, CoefficientVector):
-        return lambda x: evaluate(f, x)
-    if callable(f):
-        return f
-    raise InvalidSampleError("target must be a coefficient vector or callable")
-
-
 def verify_recovery(f, space: Subspace, sample: PointSet, p,
                     certify_budget: int = 64, allow_heuristic: bool = False) -> RecoveryBoundReport:
     """Recover ``f`` from its samples and check the certified error bound.
@@ -247,37 +216,21 @@ def verify_recovery(f, space: Subspace, sample: PointSet, p,
     and marks the report advisory.
     """
     cert = certify(space, sample, p, budget=certify_budget)
-    if isinstance(sample, WeightedPointSet):
-        w = sample.weights
-    else:
-        w = np.full(sample.m, 1.0 / sample.m)
-    advisory = False
-    if cert.status != "certified" and allow_heuristic and p == math.inf:
-        cert = Certificate(cert.p, cert.c1_pow, cert.c2_pow, cert.method,
-                           "certified", cert.tolerance, cert.weighted)
-        advisory = True
+    w, _ = _sample_weights(sample)
+    advisory = cert.status != "certified" and allow_heuristic and p == math.inf
+    if advisory:
+        cert = dataclasses.replace(cert, status="certified")
     bound = recovery_bound(cert, w, p)
 
     samples = sample_function(f, sample)
     rec = lpw_recover(samples, space, p, w)
     u = rec.coefficients
-    handle = _as_handle(f)
 
     def residual(x):
-        return np.asarray(handle(x), dtype=complex).reshape(-1) - evaluate(u, x)
+        return call_target(f, x) - evaluate(u, x)
 
     if p == math.inf:
-        from .norms import torus_grid
-        from .spaces import DiscreteSpace
-
-        if isinstance(space, DiscreteSpace):
-            grid = np.arange(space.domain.size)
-            args = grid
-        else:
-            grid = torus_grid([max(64 * d, 512) for d in space.degrees])
-            args = grid[:, 0] if grid.shape[1] == 1 else grid
-        lhs = float(np.max(np.abs(np.asarray(handle(args), dtype=complex).reshape(-1)
-                                  - evaluate(u, grid))))
+        lhs = float(np.max(np.abs(residual(space.grid([max(64 * d, 512) for d in space.degrees])))))
     else:
         lhs = handle_norm_p(residual, space, p)
     _, d_inf = best_approx(f, space, math.inf)

@@ -151,6 +151,8 @@ class Subspace:
     """Common interface of the concrete space kinds."""
 
     domain = None
+    # largest absolute frequency per coordinate; none on a finite domain
+    degrees: tuple[int, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -162,6 +164,15 @@ class Subspace:
 
     def basis_values(self, points) -> np.ndarray:
         """Values of all basis functions at the given points, shape (m, N)."""
+        raise NotImplementedError
+
+    def grid(self, sizes) -> np.ndarray:
+        """Evaluation grid with ``sizes[i]`` equispaced nodes on coordinate i;
+        a finite domain has no coordinates and returns all of its points."""
+        raise NotImplementedError
+
+    def draw(self, rng, count) -> np.ndarray:
+        """``count`` iid points from the domain measure."""
         raise NotImplementedError
 
     def coef_gram(self) -> np.ndarray:
@@ -222,6 +233,12 @@ class TrigSpace(Subspace):
         pts = self.check_points(points)
         return np.exp(1j * (pts @ self._spectrum.frequencies.T))
 
+    def grid(self, sizes) -> np.ndarray:
+        return torus_grid(sizes)
+
+    def draw(self, rng, count) -> np.ndarray:
+        return rng.uniform(0.0, TWO_PI, size=(count, self.domain.dim))
+
     def coef_gram(self) -> np.ndarray:
         return np.eye(self.dim)
 
@@ -278,6 +295,12 @@ class DiscreteSpace(Subspace):
 
     def basis_values(self, points) -> np.ndarray:
         return self._values[self.check_points(points)]
+
+    def grid(self, sizes) -> np.ndarray:
+        return np.arange(self.domain.size)
+
+    def draw(self, rng, count) -> np.ndarray:
+        return rng.integers(0, self.domain.size, size=count)
 
     def coef_gram(self) -> np.ndarray:
         # cached; safe because the value matrix is immutable
@@ -366,6 +389,13 @@ def tensor_product(factors) -> TrigSpace:
         rows = [tuple(int(v) for v in row) for row in f.spectrum.frequencies]
         freq_rows = [head + row for head in freq_rows for row in rows]
     return TrigSpace(Spectrum(freq_rows), factors=factors)
+
+
+def torus_grid(sizes) -> np.ndarray:
+    """Equispaced product grid on the torus, shape (prod(sizes), d)."""
+    axes = [np.arange(n) * (TWO_PI / n) for n in sizes]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def evaluate(f: CoefficientVector, points) -> np.ndarray:

@@ -7,9 +7,7 @@ override any of them with ``--tolerance KEY=VAL``.
 DEFAULTS = {
     # successive-refinement agreement when integrating |f|^p for non-even p
     "quad_stop": 1e-9,
-    # documented relative accuracy of the sup-norm grid search
-    "sup_rel": 1e-6,
-    # relative accuracy of the discrete minimax (Lawson) fit
+    # stall rule of the discrete minimax (Lawson) fit
     "minimax_rel": 1e-4,
     # first-order optimality for convex descent (best approximation)
     "descent_tol": 1e-8,

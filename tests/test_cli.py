@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sampdisc
 from sampdisc.cli import ExperimentConfig, main, run_experiment
 from sampdisc.errors import ConfigError
 
@@ -156,6 +161,27 @@ def test_cli_seed_override(tmp_path):
 def test_cli_config_error_exit_code(tmp_path):
     code, _ = run_cli(tmp_path, {"kind": "unknown-kind"})
     assert code == 2
+
+
+@pytest.mark.parametrize("config,field", [
+    ({"kind": "certify", "space": {"kind": "trig", "dimension": 1},
+      "sample": {"mode": "equispaced", "m": 5}, "p": 2}, "space.spectrum"),
+    ({"kind": "study-scaling", "Ns": [5], "p": 2, "eps": "x", "trials": 5,
+      "success_threshold": 0.9, "seed": 1}, "eps"),
+    ({"kind": "generate", "space": TRIG5, "sample": {"mode": "iid", "m": "many"},
+      "seed": 9}, "sample.m"),
+])
+def test_cli_malformed_field_exits_2_without_traceback(tmp_path, config, field):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    src = str(Path(sampdisc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "sampdisc.cli", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"config error: {field}:" in proc.stderr
 
 
 def test_cli_budget_exhaustion_exit_code(tmp_path):

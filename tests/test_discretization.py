@@ -208,6 +208,15 @@ def test_brute_force_single_exponential():
     assert cert.c2_pow == pytest.approx(1.0, abs=1e-9)
 
 
+def test_brute_force_labels_weighted_sample():
+    sp = make_trig_space(1, [[0], [2]])
+    lev = generate_points(sp, "leverage", 6, seed=17)
+    assert isinstance(lev, WeightedPointSet)
+    oracle = brute_force_certificate(sp, lev, 2)
+    assert oracle.weighted and certify(sp, lev, 2).weighted
+    assert not brute_force_certificate(sp, PointSet(lev.points), 2).weighted
+
+
 def test_brute_force_size_guard():
     sp = full_trig_space(2)  # N = 5
     with pytest.raises(OracleTooLargeError):

@@ -9,7 +9,9 @@ from sampdisc import (
     CoefficientVector,
     Certificate,
     LpwRegressor,
+    PointSet,
     SampleVector,
+    best_approx,
     certify,
     evaluate,
     generate_points,
@@ -25,6 +27,7 @@ from sampdisc.errors import (
     InvalidWeightError,
     UnboundedBoundError,
 )
+from sampdisc.norms import torus_grid
 
 TWO_PI = 2 * math.pi
 
@@ -145,6 +148,26 @@ def test_p4_convexity_of_returned_minimizer():
         delta = 1e-3 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
         assert objective(c + delta) >= base - 1e-12
     assert res.optimizer_report["final_grad_norm"] <= 1e-6
+
+
+@pytest.mark.parametrize("weights", [uniform(40), np.linspace(0.5, 1.5, 40)])
+def test_p_inf_reports_lawson_lower_bound(weights):
+    sp = full_trig_space(2)
+    pts = generate_points(sp, "iid", 40, seed=48)
+    samples = sample_function(lambda x: np.abs(np.sin(x)) ** 1.5, pts)
+    res = lpw_recover(samples, sp, math.inf, weights)
+    assert 0 < res.optimizer_report["lower_bound"] <= res.discrete_residual
+
+
+def test_p_inf_recovery_matches_best_approx_on_its_grid():
+    # recovery and best approximation at p = inf run the same Lawson loop;
+    # 512 nodes is best_approx's minimax grid for a degree-2 space
+    sp = full_trig_space(2)
+    target = lambda x: np.tanh(4 * np.sin(x))  # noqa: E731
+    grid = PointSet(torus_grid([512]))
+    res = lpw_recover(sample_function(target, grid), sp, math.inf, uniform(512))
+    _, dist = best_approx(target, sp, math.inf)
+    assert res.discrete_residual == pytest.approx(dist, rel=0, abs=1e-12)
 
 
 def test_p4_deterministic():
