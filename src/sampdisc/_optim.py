@@ -2,9 +2,13 @@
 
 ``extremize_ratio`` is a projected-gradient search on coefficient spheres,
 used to extremize ratios of discrete to continuous p-th power norms.
-Restarts run as one batched numpy computation; every restart derives its
-step size independently, and ties between equally good optima are broken
-by the lowest restart index, so results do not depend on scheduling.
+Restarts run as one batched numpy computation and every restart derives
+its step size independently. The bits of a row of ``C[subset] @ U.T`` can
+differ from the same row of ``C @ U.T``, so which restarts share a call
+matters. Results are bit-reproducible because each call's restart set is a
+deterministic function of the inputs, and the stacked step halving replays
+those sets exactly. Ties between equally good optima are broken by the
+lowest restart index.
 
 ``lawson`` is the discrete minimax fit (Lawson's reweighting), used for
 best approximation and recovery at p = inf.
@@ -17,6 +21,10 @@ import math
 import numpy as np
 
 from . import tolerances
+
+
+# 2**-k, the step factor after k halvings
+_SCALES = 0.5 ** np.arange(26)
 
 
 def _power_sum(Y, w, p):
@@ -38,7 +46,8 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, iters=150,
     along the gradient of log R with per-restart step halving and sphere
     renormalization (R is scale-invariant). The minimum found is an upper
     bound on the true infimum and the maximum found is a lower bound on
-    the true supremum.
+    the true supremum. The report holds ``iterations`` (gradient steps),
+    ``restarts`` and ``evaluations`` (objective calls).
     """
     n = num_mat.shape[1]
     rng = np.random.default_rng(seed)
@@ -61,6 +70,7 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, iters=150,
         return F, Yn, Yd, Sn, Sd
 
     F, Yn, Yd, Sn, Sd = objective(C)
+    evaluations = 1
     step = np.full(C.shape[0], 0.25)
     active = np.ones(C.shape[0], dtype=bool)
     it = 0
@@ -71,29 +81,47 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, iters=150,
         Gd = _power_grad(C, den_mat, den_w, p, Yd)
         G = sign * (Gn / np.maximum(Sn, 1e-300)[:, None] - Gd / np.maximum(Sd, 1e-300)[:, None])
         moved = np.zeros(C.shape[0], dtype=bool)
-        for _ in range(25):
+        # Up to 25 halvings of the step: accept the restarts whose candidate
+        # improves, halve the step of the others. After a halving that moved
+        # nothing, the next ones try the same restart set, so `depth` of them
+        # are evaluated as one (depth, t, n) stack and replayed up to the
+        # first slice that improves. The scales are exact powers of two and
+        # stacked matmul makes the same BLAS call per slice, so each slice is
+        # bit-identical to its one-halving call; depth * t stays within the
+        # restart count, so no call is larger than the first evaluation.
+        halving, stack = 0, False
+        while halving < 25:
             trial = np.where(active & ~moved)[0]
             if trial.size == 0:
                 break
-            cand = C[trial] - step[trial, None] * G[trial]
-            cand = cand / np.linalg.norm(cand, axis=1, keepdims=True)
+            depth = min(25 - halving, C.shape[0] // trial.size) if stack else 1
+            cand = C[trial] - (_SCALES[:depth, None] * step[trial])[:, :, None] * G[trial]
+            cand = cand / np.linalg.norm(cand, axis=-1, keepdims=True)
             Fc, Ync, Ydc, Snc, Sdc = objective(cand)
+            evaluations += 1
             better = Fc < F[trial] - 1e-15
-            idx = trial[better]
-            C[idx] = cand[better]
-            F[idx] = Fc[better]
-            Yn[idx] = Ync[better]
-            Yd[idx] = Ydc[better]
-            Sn[idx] = Snc[better]
-            Sd[idx] = Sdc[better]
-            step[idx] = np.minimum(step[idx] * 1.5, 1.0)
+            stack = not better.any()
+            if stack:
+                step[trial] *= _SCALES[depth]
+                halving += depth
+                continue
+            b = int(np.argmax(better.any(axis=1)))
+            ok = better[b]
+            idx = trial[ok]
+            C[idx] = cand[b, ok]
+            F[idx] = Fc[b, ok]
+            Yn[idx] = Ync[b, ok]
+            Yd[idx] = Ydc[b, ok]
+            Sn[idx] = Snc[b, ok]
+            Sd[idx] = Sdc[b, ok]
+            step[idx] = np.minimum(step[idx] * _SCALES[b] * 1.5, 1.0)
             moved[idx] = True
-            stuck = trial[~better]
-            step[stuck] *= 0.5
+            step[trial[~ok]] *= _SCALES[b + 1]
+            halving += b + 1
         active &= moved | (step > 1e-13)
     ratios = Sn / np.maximum(Sd, 1e-300)
     best = int(np.argmax(ratios)) if maximize else int(np.argmin(ratios))
-    report = {"iterations": it + 1, "restarts": int(C.shape[0])}
+    report = {"iterations": it + 1, "restarts": int(C.shape[0]), "evaluations": evaluations}
     return float(ratios[best]), C[best], report
 
 

@@ -59,11 +59,15 @@ class ExperimentConfig:
         return self.data["kind"]
 
     def get(self, path, default=None):
+        """Value at a dotted path; a digit part indexes a list."""
         cur = self.data
         for part in path.split("."):
-            if not isinstance(cur, dict) or part not in cur:
+            if isinstance(cur, list) and part.isdigit() and int(part) < len(cur):
+                cur = cur[int(part)]
+            elif isinstance(cur, dict) and part in cur:
+                cur = cur[part]
+            else:
                 return default
-            cur = cur[part]
         return cur
 
     def need(self, path, caster=lambda v: v):
@@ -134,7 +138,12 @@ def _validate(config: ExperimentConfig) -> None:
 def _build_space(config: ExperimentConfig, path="space"):
     desc = config.need(path, dict)
     try:
+        if desc.get("kind") == "tensor":
+            count = len(config.need(f"{path}.factors", list))
+            return tensor_product([_build_space(config, f"{path}.factors.{i}") for i in range(count)])
         return space_from_dict(desc)
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"{path}.{exc.args[0]}", "missing required field") from exc
     except (SampdiscError, TypeError, ValueError) as exc:
@@ -311,7 +320,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
         if len(factor_descs) != len(sample_descs):
             raise ConfigError("factor_samples", "one sample spec per factor")
         p = config.need("p", float)
-        spaces = [space_from_dict(d) for d in factor_descs]
+        spaces = [_build_space(config, f"factors.{i}") for i in range(len(factor_descs))]
         sets = []
         certs = []
         for i, (sp, sd) in enumerate(zip(spaces, sample_descs)):

@@ -392,8 +392,11 @@ def brute_force_certificate(space: Subspace, sample: PointSet, p,
     returns the extreme discrete p-th powers observed; nested shrinking
     sweeps around the extremes sharpen the estimate. The reported
     tolerance scales like the squared covering radius of the sweep,
-    calibrated to 1e-3 at resolution 200. Guarded to N <= 3.
+    calibrated to 1e-3 at resolution 200. Guarded to N <= 3 and to a
+    finite p >= 1.
     """
+    if p == math.inf or p < 1:
+        raise InvalidExponentError("the oracle needs a finite exponent p >= 1")
     n = space.dim
     if n > 3:
         raise OracleTooLargeError("brute-force oracle supports N <= 3 only")

@@ -170,6 +170,11 @@ def test_cli_config_error_exit_code(tmp_path):
       "success_threshold": 0.9, "seed": 1}, "eps"),
     ({"kind": "generate", "space": TRIG5, "sample": {"mode": "iid", "m": "many"},
       "seed": 9}, "sample.m"),
+    ({"kind": "certify", "space": {"kind": "tensor", "factors": [TRIG5, {"kind": "trig", "dimension": 1}]},
+      "sample": {"mode": "equispaced", "m": 15}, "p": 2}, "space.factors.1.spectrum"),
+    ({"kind": "study-tensor", "factors": [TRIG5, {"kind": "trig", "dimension": 1}],
+      "factor_samples": [{"mode": "equispaced", "m": 5}, {"mode": "equispaced", "m": 3}],
+      "p": 2, "seed": 8}, "factors.1.spectrum"),
 ])
 def test_cli_malformed_field_exits_2_without_traceback(tmp_path, config, field):
     cfg = tmp_path / "config.json"

@@ -29,6 +29,7 @@ from sampdisc.errors import (
     BudgetExhaustedError,
     InvalidSampleError,
     FactorExtractionError,
+    InvalidExponentError,
     MissingSeedError,
     OracleTooLargeError,
     SearchFailedError,
@@ -221,6 +222,13 @@ def test_brute_force_size_guard():
     sp = full_trig_space(2)  # N = 5
     with pytest.raises(OracleTooLargeError):
         brute_force_certificate(sp, generate_points(sp, "equispaced", 7), 2)
+
+
+@pytest.mark.parametrize("p", [math.inf, 0.5])
+def test_brute_force_rejects_exponent(p):
+    sp = make_trig_space(1, [[0], [1]])
+    with pytest.raises(InvalidExponentError):
+        brute_force_certificate(sp, generate_points(sp, "equispaced", 4), p)
 
 
 @pytest.mark.parametrize("p,seed", [(2, 21), (3, 22), (4, 23)])
