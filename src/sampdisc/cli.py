@@ -44,13 +44,139 @@ from .spaces import (
 
 logger = logging.getLogger("sampdisc.cli")
 
-KINDS = ("certify", "nikolskii", "generate", "subsample", "recover",
-         "study-scaling", "study-lacunary", "study-tensor")
+REQUIRED = object()  # default of a field that must be present
+
+
+def _read(node, key, cast, default=REQUIRED, at=""):
+    """``cast(value, at + key)`` of field ``key`` of ``node``, else ``default``."""
+    value = node.get(key, REQUIRED) if isinstance(node, dict) else REQUIRED
+    if value is not REQUIRED:
+        return cast(value, at + key)
+    if default is REQUIRED:
+        raise ConfigError(at + key, "missing required field")
+    return default
+
+
+def _fields(node, fields, at=""):
+    """``{key: _read(...)}`` for each ``(key, cast, default)`` of ``fields``."""
+    return {key: _read(node, key, cast, default, at) for key, cast, default in fields}
+
+
+def _check(ok, rule, convert=lambda v: v):
+    """Caster: ``convert`` the value, then require ``ok``; booleans and NaN never pass."""
+    def cast(value, path):
+        try:
+            if isinstance(value, bool):
+                raise TypeError("no field takes a boolean")
+            x = convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(path, f"bad value {value!r}: {exc}") from exc
+        if x != x or not ok(x):
+            raise ConfigError(path, f"bad value {value!r}: {rule}")
+        return x
+    return cast
+
+
+def _list_of(item):
+    def cast(value, path):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(path, "must be a nonempty list")
+        return [item(v, f"{path}.{i}") for i, v in enumerate(value)]
+    return cast
+
+
+def _struct(*fields):
+    return lambda value, path: _fields(OBJECT(value, path), fields, f"{path}.")
+
+
+MODES = ("iid", "leverage", "equispaced", "tensor")
+REAL = _check(lambda x: True, "must be a number", float)
+RATIO = _check(lambda x: 1 < x < math.inf, "must be > 1 and finite", float)
+POSITIVE = _check(lambda x: 0 < x < math.inf, "must be positive and finite", float)
+FRACTION = _check(lambda x: 0 <= x <= 1, "must lie in [0, 1]", float)
+EPS = _check(lambda x: 0 < x < 1, "eps must lie in (0, 1)", float)
+COUNT = _check(lambda n: n >= 1, "must be >= 1", int)
+NATURAL = _check(lambda n: n >= 0, "must be >= 0", int)
+ODD = _check(lambda n: n >= 1 and n % 2 == 1, "scaling study uses odd N = 2*degree + 1", int)
+COEFFICIENT = _check(lambda z: True, "must be a number or an [re, im] pair",
+                     lambda v: complex(*v) if isinstance(v, list) else complex(v))
+TEXT = _check(lambda v: isinstance(v, str), "must be a string")
+OBJECT = _check(lambda v: isinstance(v, dict), "must be an object")
+SAMPLE = _struct(("mode", _check(lambda v: v in MODES, f"expected one of {MODES}"), REQUIRED),
+                 ("m", COUNT, None), ("sizes", _list_of(COUNT), None), ("seed", NATURAL, None),
+                 ("factor_samples", _list_of(lambda v, path: SAMPLE(v, path)), None))
+
+
+def _build_space(desc, path):
+    factors = None
+    if OBJECT(desc, path).get("kind") == "tensor":
+        factors = _read(desc, "factors", _list_of(_build_space), at=f"{path}.")
+    try:
+        return space_from_dict(desc) if factors is None else tensor_product(factors)
+    except KeyError as exc:
+        raise ConfigError(f"{path}.{exc.args[0]}", "missing required field") from exc
+    except (SampdiscError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _build_sample(space, spec, seed, at="sample."):
+    """Draw the points of a SAMPLE spec read at ``at``; its seed overrides ``seed``."""
+    if spec["mode"] == "equispaced":
+        return generate_points(space, "equispaced", spec["m"], sizes=spec["sizes"])
+    if spec["mode"] == "tensor":
+        if space.factors is None:
+            raise ConfigError(f"{at}mode", "tensor sampling needs a tensor-product space")
+        subs = spec["factor_samples"]
+        if subs is None or len(subs) != len(space.factors):
+            raise ConfigError(f"{at}factor_samples", "one sample spec per tensor factor")
+        return generate_points(space, "tensor", factors=[
+            _build_sample(fac, sub, seed, f"{at}factor_samples.{i}.")
+            for i, (fac, sub) in enumerate(zip(space.factors, subs))])
+    seed = seed if spec["seed"] is None else spec["seed"]
+    if seed is None:
+        raise ConfigError(f"{at}seed", "random sampling requires a seed")
+    return generate_points(space, spec["mode"], spec["m"], seed=seed)
+
+
+def _build_target(desc, path):
+    spectrum, coeffs = _struct(("spectrum", _list_of(lambda v, _: v), REQUIRED),
+                               ("coefficients", _list_of(COEFFICIENT), REQUIRED))(desc, path).values()
+    try:
+        arr = np.asarray(spectrum)
+        d = 1 if arr.ndim == 1 else arr.shape[1]
+        return CoefficientVector(make_trig_space(d, spectrum), coeffs)
+    except (SampdiscError, TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+SPACE = ("space", _build_space, REQUIRED)
+P = ("p", REAL, REQUIRED)
+SEED = ("seed", NATURAL, None)
+STUDY = (P, ("eps", EPS, REQUIRED), ("trials", COUNT, REQUIRED),
+         ("success_threshold", FRACTION, REQUIRED), ("seed", NATURAL, REQUIRED), ("budget", COUNT, 16))
+# Every field of every kind: (key, caster, default or REQUIRED), read before
+# any work starts; the seed is required where the kind itself draws points.
+FIELDS = {
+    "certify": (SPACE, ("sample", SAMPLE, REQUIRED), P, ("budget", COUNT, 64), SEED),
+    "nikolskii": (SPACE, ("q", REAL, REQUIRED), SEED),
+    "generate": (SPACE, ("sample", SAMPLE, REQUIRED), SEED),
+    "subsample": (SPACE, ("q", REAL, REQUIRED), ("eps", EPS, REQUIRED),
+                  ("budgets", _struct(("stage1_s", COUNT, REQUIRED), ("stage2_m", COUNT, REQUIRED),
+                                      ("retries", NATURAL, 50)), REQUIRED),
+                  ("seed", NATURAL, REQUIRED)),
+    "recover": (SPACE, ("sample", SAMPLE, REQUIRED), ("target", _build_target, REQUIRED), P, SEED),
+    "study-scaling": (("Ns", _list_of(ODD), REQUIRED), ("m_max_factor", POSITIVE, 20.0), *STUDY),
+    "study-lacunary": (("ns", _list_of(COUNT), REQUIRED), ("ratio", RATIO, 2.0),
+                       ("m_max_factor", POSITIVE, 4.0), *STUDY),
+    "study-tensor": (("factors", _list_of(_build_space), REQUIRED),
+                     ("factor_samples", _list_of(SAMPLE), REQUIRED), P, ("budget", COUNT, 64), SEED),
+}
+KINDS = tuple(FIELDS)
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description (thin wrapper over the JSON dict)."""
+    """An experiment description (thin wrapper over the JSON dict)."""
 
     data: dict
 
@@ -69,16 +195,6 @@ class ExperimentConfig:
             else:
                 return default
         return cur
-
-    def need(self, path, caster=lambda v: v):
-        sentinel = object()
-        value = self.get(path, sentinel)
-        if value is sentinel:
-            raise ConfigError(path, "missing required field")
-        try:
-            return caster(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(path, f"bad value {value!r}: {exc}") from exc
 
 
 @dataclass
@@ -119,75 +235,6 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _validate(config: ExperimentConfig) -> None:
-    kind = config.need("kind", str)
-    if kind not in KINDS:
-        raise ConfigError("kind", f"unknown kind {kind!r}; expected one of {KINDS}")
-    randomized = kind in ("subsample", "study-scaling", "study-lacunary") or (
-        config.get("sample.mode") in ("iid", "leverage"))
-    if randomized and config.get("seed") is None:
-        raise ConfigError("seed", "randomized experiments require a seed")
-    if config.get("eps") is not None and not 0 < config.need("eps", float) < 1:
-        raise ConfigError("eps", "eps must lie in (0, 1)")
-    for path in ("Ns", "ns"):
-        rng = config.get(path)
-        if rng is not None and (not isinstance(rng, list) or not rng):
-            raise ConfigError(path, "must be a nonempty list")
-
-
-def _build_space(config: ExperimentConfig, path="space"):
-    desc = config.need(path, dict)
-    try:
-        if desc.get("kind") == "tensor":
-            count = len(config.need(f"{path}.factors", list))
-            return tensor_product([_build_space(config, f"{path}.factors.{i}") for i in range(count)])
-        return space_from_dict(desc)
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"{path}.{exc.args[0]}", "missing required field") from exc
-    except (SampdiscError, TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _build_sample(space, config: ExperimentConfig, path="sample"):
-    desc = config.need(path, dict)
-    mode = desc.get("mode")
-    m = config.need(f"{path}.m", int) if "m" in desc else None
-    if mode in ("iid", "leverage"):
-        seed = desc.get("seed", config.get("seed"))
-        if seed is None:
-            raise ConfigError(f"{path}.seed", "random sampling requires a seed")
-        return generate_points(space, mode, m, seed=seed)
-    if mode == "equispaced":
-        return generate_points(space, "equispaced", m, sizes=desc.get("sizes"))
-    if mode == "tensor":
-        if space.factors is None:
-            raise ConfigError(path, "tensor sampling needs a tensor-product space")
-        subs = desc.get("factor_samples")
-        if not isinstance(subs, list) or len(subs) != len(space.factors):
-            raise ConfigError(f"{path}.factor_samples", "one sample spec per tensor factor")
-        factor_sets = []
-        for i, (fac, sub) in enumerate(zip(space.factors, subs)):
-            factor_sets.append(_build_sample(fac, ExperimentConfig({"sample": sub, "seed": config.get("seed")}), "sample"))
-        return generate_points(space, "tensor", factors=factor_sets)
-    raise ConfigError(f"{path}.mode", f"unknown sampling mode {mode!r}")
-
-
-def _build_target(config: ExperimentConfig, path="target"):
-    desc = config.need(path, dict)
-    spectrum = desc.get("spectrum")
-    coeffs = desc.get("coefficients")
-    if spectrum is None or coeffs is None:
-        raise ConfigError(path, "target needs 'spectrum' and 'coefficients'")
-    arr = np.asarray(spectrum)
-    d = 1 if arr.ndim == 1 else arr.shape[1]
-    target_space = make_trig_space(d, spectrum)
-    values = np.array([complex(c[0], c[1]) if isinstance(c, list) else complex(c)
-                       for c in coeffs])
-    return CoefficientVector(target_space, values)
-
-
 def _fit_exponent(xs, ys):
     lx, ly = np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float))
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -195,18 +242,47 @@ def _fit_exponent(xs, ys):
     return float(slope), resid
 
 
-def _run_size_study(config, report, sizes, make_space, m_max_for, size_label):
-    p = config.need("p", float)
-    eps = config.need("eps", float)
-    trials = config.need("trials", int)
-    threshold = config.need("success_threshold", float)
-    seed = config.need("seed", int)
-    budget = int(config.get("budget", 16))
+def _run_certify(report, space, sample, p, budget, seed):
+    points = _build_sample(space, sample, seed)
+    cert = certify(space, points, p, budget=budget)
+    report.records.append({"space": space_to_dict(space), "m": points.m,
+                           "certificate": cert.to_dict()})
+    report.summary = {"c1_pow": cert.c1_pow, "c2_pow": cert.c2_pow, "status": cert.status}
+
+
+def _run_nikolskii(report, space, q, seed):
+    est = nikolskii_constant(space, q)
+    rec = {"q": est.q, "M": est.M, "B": est.B, "method": est.method,
+           "grid_size": est.grid_size}
+    report.records.append(rec)
+    report.summary = dict(rec)
+
+
+def _run_generate(report, space, sample, seed):
+    points = _build_sample(space, sample, seed)
+    report.records.append(points.to_dict())
+    report.summary = {"m": points.m, "mode": points.provenance.get("mode")}
+
+
+def _run_subsample(report, space, q, eps, budgets, seed):
+    subset, cert = two_stage_subsample(space, q, eps, TwoStageBudget(**budgets), seed)
+    report.records.append({"points": subset.to_dict(), "certificate": cert.to_dict()})
+    report.summary = {"m": subset.m, "c1_pow": cert.c1_pow, "c2_pow": cert.c2_pow}
+
+
+def _run_recover(report, space, sample, target, p, seed):
+    # acts at p = inf only, where the sup-norm certificate is always heuristic
+    bound_report = verify_recovery(target, space, _build_sample(space, sample, seed), p,
+                                   allow_heuristic=True)
+    report.records.append(bound_report.to_dict())
+    report.summary = {"lhs": bound_report.lhs, "rhs": bound_report.rhs,
+                      "holds": bound_report.holds, "advisory": bound_report.advisory}
+
+
+def _run_size_study(report, size_label, sizes, spaces, m_maxes, seed, **search):
     m_stars = []
-    for s in sizes:
-        space = make_space(s)
-        result = minimal_m_search(space, p, eps, trials, threshold,
-                                  seed=(seed, s), m_max=m_max_for(s), budget=budget)
+    for s, space, m_max in zip(sizes, spaces, m_maxes):
+        result = minimal_m_search(space, seed=(seed, s), m_max=m_max, **search)
         m_stars.append(result.m_star)
         logger.info("%s=%d -> m_star=%d", size_label, s, result.m_star)
         for pt in result.curve:
@@ -219,147 +295,67 @@ def _run_size_study(config, report, sizes, make_space, m_max_for, size_label):
     return m_stars
 
 
-def run_experiment(config: ExperimentConfig) -> Report:
-    """Execute a validated experiment and return the full report."""
-    _validate(config)
-    start = time.monotonic()
-    report = Report(config=config.data, seed=config.get("seed"))
-    kind = config.kind
+def _run_scaling(report, Ns, m_max_factor, **study):
+    spaces = [make_trig_space(1, [[k] for k in range(-(n // 2), n // 2 + 1)]) for n in Ns]
+    m_maxes = [math.ceil(m_max_factor * n * math.log2(2 * n)) for n in Ns]
+    m_stars = _run_size_study(report, "N", Ns, spaces, m_maxes, **study)
+    alpha_n, resid_n = _fit_exponent(Ns, m_stars)
+    nlogn = [n * math.log2(2 * n) for n in Ns]
+    alpha_nlogn, resid_nlogn = _fit_exponent(nlogn, m_stars)
+    report.summary = {"Ns": Ns, "m_stars": m_stars,
+                      "exponent_vs_N": alpha_n, "residual_vs_N": resid_n,
+                      "exponent_vs_NlogN": alpha_nlogn,
+                      "residual_vs_NlogN": resid_nlogn}
 
-    if kind == "certify":
-        space = _build_space(config)
-        sample = _build_sample(space, config)
-        p = config.need("p", float)
-        cert = certify(space, sample, p, budget=int(config.get("budget", 64)))
-        report.records.append({"space": space_to_dict(space), "m": sample.m,
-                               "certificate": cert.to_dict()})
-        report.summary = {"c1_pow": cert.c1_pow, "c2_pow": cert.c2_pow,
-                          "status": cert.status}
 
-    elif kind == "nikolskii":
-        space = _build_space(config)
-        q = config.need("q", float)
-        est = nikolskii_constant(space, q)
-        rec = {"q": est.q, "M": est.M, "B": est.B, "method": est.method,
-               "grid_size": est.grid_size}
-        report.records.append(rec)
-        report.summary = dict(rec)
+def _run_lacunary(report, ns, ratio, m_max_factor, **study):
+    spaces = [make_lacunary_space(n, ratio) for n in ns]
+    m_maxes = [math.ceil(m_max_factor * n ** (study["p"] / 2.0) * max(1.0, math.log2(2 * n)) ** 3)
+               for n in ns]
+    m_stars = _run_size_study(report, "n", ns, spaces, m_maxes, **study)
+    report.summary = {"ns": ns, "m_stars": m_stars}
+    if len(ns) > 1:
+        alpha, resid = _fit_exponent(ns, m_stars)
+        report.summary.update({"exponent_vs_n": alpha, "residual_vs_n": resid})
 
-    elif kind == "generate":
-        space = _build_space(config)
-        sample = _build_sample(space, config)
-        report.records.append(sample.to_dict())
-        report.summary = {"m": sample.m, "mode": sample.provenance.get("mode")}
 
-    elif kind == "subsample":
-        space = _build_space(config)
-        q = config.need("q", float)
-        eps = config.need("eps", float)
-        budgets = TwoStageBudget(
-            stage1_s=config.need("budgets.stage1_s", int),
-            stage2_m=config.need("budgets.stage2_m", int),
-            retries=int(config.get("budgets.retries", 50)),
-        )
-        subset, cert = two_stage_subsample(space, q, eps, budgets, config.need("seed", int))
-        report.records.append({"points": subset.to_dict(), "certificate": cert.to_dict()})
-        report.summary = {"m": subset.m, "c1_pow": cert.c1_pow, "c2_pow": cert.c2_pow}
-
-    elif kind == "recover":
-        space = _build_space(config)
-        sample = _build_sample(space, config)
-        target = _build_target(config)
-        p = config.need("p", float)
-        bound_report = verify_recovery(target, space, sample, p)
-        report.records.append(bound_report.to_dict())
-        report.summary = {"lhs": bound_report.lhs, "rhs": bound_report.rhs,
-                          "holds": bound_report.holds}
-
-    elif kind == "study-scaling":
-        Ns = [int(v) for v in config.need("Ns", list)]
-        factor = float(config.get("m_max_factor", 20.0))
-
-        def make_space(n):
-            if n % 2 != 1:
-                raise ConfigError("Ns", "scaling study uses odd N = 2*degree + 1")
-            deg = (n - 1) // 2
-            return make_trig_space(1, [[k] for k in range(-deg, deg + 1)])
-
-        def m_max_for(n):
-            return math.ceil(factor * n * math.log2(2 * n))
-
-        m_stars = _run_size_study(config, report, Ns, make_space, m_max_for, "N")
-        alpha_n, resid_n = _fit_exponent(Ns, m_stars)
-        nlogn = [n * math.log2(2 * n) for n in Ns]
-        alpha_nlogn, resid_nlogn = _fit_exponent(nlogn, m_stars)
-        report.summary = {"Ns": Ns, "m_stars": m_stars,
-                          "exponent_vs_N": alpha_n, "residual_vs_N": resid_n,
-                          "exponent_vs_NlogN": alpha_nlogn,
-                          "residual_vs_NlogN": resid_nlogn}
-
-    elif kind == "study-lacunary":
-        ns = [int(v) for v in config.need("ns", list)]
-        ratio = float(config.get("ratio", 2.0))
-        p = config.need("p", float)
-        factor = float(config.get("m_max_factor", 4.0))
-
-        def make_space(n):
-            return make_lacunary_space(n, ratio)
-
-        def m_max_for(n):
-            return math.ceil(factor * n ** (p / 2.0) * max(1.0, math.log2(2 * n)) ** 3)
-
-        m_stars = _run_size_study(config, report, ns, make_space, m_max_for, "n")
-        report.summary = {"ns": ns, "m_stars": m_stars}
-        if len(ns) > 1:
-            alpha, resid = _fit_exponent(ns, m_stars)
-            report.summary.update({"exponent_vs_n": alpha, "residual_vs_n": resid})
-
-    elif kind == "study-tensor":
-        factor_descs = config.need("factors", list)
-        sample_descs = config.need("factor_samples", list)
-        if len(factor_descs) != len(sample_descs):
-            raise ConfigError("factor_samples", "one sample spec per factor")
-        p = config.need("p", float)
-        spaces = [_build_space(config, f"factors.{i}") for i in range(len(factor_descs))]
-        sets = []
-        certs = []
-        for i, (sp, sd) in enumerate(zip(spaces, sample_descs)):
-            ps = _build_sample(sp, ExperimentConfig({"sample": sd, "seed": config.get("seed")}))
-            cert = certify(sp, ps, p, budget=int(config.get("budget", 64)))
-            sets.append(ps)
-            certs.append(cert)
-            report.records.append({"factor": i, "m": ps.m, "certificate": cert.to_dict()})
-        tensor_space = tensor_product(spaces)
-        tensor_set = generate_points(tensor_space, "tensor", factors=sets)
-        tensor_cert = certify(tensor_space, tensor_set, p, budget=int(config.get("budget", 64)))
-        report.records.append({"tensor_m": tensor_set.m, "certificate": tensor_cert.to_dict()})
-        c1_prod = math.prod(c.c1_pow for c in certs)
-        c2_prod = math.prod(c.c2_pow for c in certs)
-        inside = (tensor_cert.c1_pow >= c1_prod - 1e-8) and (tensor_cert.c2_pow <= c2_prod + 1e-8)
-        extraction = []
-        if all(sp.contains_constant for sp in spaces):
-            for i, sp in enumerate(spaces):
-                fac_set, transferred = extract_factor(tensor_space, tensor_set, i, tensor_cert)
-                direct = certify(sp, fac_set, p, budget=int(config.get("budget", 64)))
-                extraction.append({"factor": i, "transferred": transferred.to_dict(),
+def _run_tensor(report, factors, factor_samples, p, budget, seed):
+    tensor_space = tensor_product(factors)
+    tensor_set = _build_sample(tensor_space, {"mode": "tensor", "factor_samples": factor_samples},
+                               seed, at="")
+    certs = [certify(sp, ps, p, budget=budget) for sp, ps in zip(factors, tensor_set.factors)]
+    for i, (ps, cert) in enumerate(zip(tensor_set.factors, certs)):
+        report.records.append({"factor": i, "m": ps.m, "certificate": cert.to_dict()})
+    tensor_cert = certify(tensor_space, tensor_set, p, budget=budget)
+    report.records.append({"tensor_m": tensor_set.m, "certificate": tensor_cert.to_dict()})
+    c1_prod = math.prod(c.c1_pow for c in certs)
+    c2_prod = math.prod(c.c2_pow for c in certs)
+    inside = (tensor_cert.c1_pow >= c1_prod - 1e-8) and (tensor_cert.c2_pow <= c2_prod + 1e-8)
+    if all(sp.contains_constant for sp in factors):
+        for i, sp in enumerate(factors):
+            fac_set, transferred = extract_factor(tensor_space, tensor_set, i, tensor_cert)
+            direct = certify(sp, fac_set, p, budget=budget)
+            report.records.append({"factor": i, "transferred": transferred.to_dict(),
                                    "direct": direct.to_dict()})
-        report.records.extend(extraction)
-        report.summary = {"c1_product": c1_prod, "c2_product": c2_prod,
-                          "tensor_c1": tensor_cert.c1_pow, "tensor_c2": tensor_cert.c2_pow,
-                          "within_product_interval": inside}
+    report.summary = {"c1_product": c1_prod, "c2_product": c2_prod,
+                      "tensor_c1": tensor_cert.c1_pow, "tensor_c2": tensor_cert.c2_pow,
+                      "within_product_interval": inside}
 
+
+RUNNERS = {"certify": _run_certify, "nikolskii": _run_nikolskii, "generate": _run_generate,
+           "subsample": _run_subsample, "recover": _run_recover, "study-scaling": _run_scaling,
+           "study-lacunary": _run_lacunary, "study-tensor": _run_tensor}
+
+
+def run_experiment(config: ExperimentConfig) -> Report:
+    """Read every field of the config's kind, then run the kind."""
+    start = time.monotonic()
+    kind = _read(config.data, "kind", _check(lambda v: v in KINDS, f"expected one of {KINDS}"))
+    values = _fields(config.data, FIELDS[kind])
+    report = Report(config=config.data, seed=values["seed"])
+    RUNNERS[kind](report, **values)
     report.wall_clock_s = time.monotonic() - start
     return report
-
-
-def _apply_overrides(data: dict, args) -> dict:
-    for name in ("seed", "p", "q", "eps", "trials"):
-        value = getattr(args, name)
-        if value is not None:
-            data[name] = value
-    if args.threshold is not None:
-        data["success_threshold"] = args.threshold
-    return data
 
 
 def main(argv=None) -> int:
@@ -373,34 +369,29 @@ def main(argv=None) -> int:
     parser.add_argument("--q", type=float, default=None)
     parser.add_argument("--eps", type=float, default=None)
     parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--threshold", type=float, default=None)
+    parser.add_argument("--threshold", dest="success_threshold", type=float, default=None)
     parser.add_argument("--tolerance", action="append", default=[],
                         metavar="KEY=VAL", help="override a named tolerance")
     args = parser.parse_args(argv)
 
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    try:
-        data = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    pairs = (item.partition("=") for item in args.tolerance)
+    try:  # JSON and config errors are ValueErrors; a bad --tolerance applies nothing
+        data = OBJECT(json.loads(Path(args.config).read_text()), args.config)
+        scope = tolerances.override({key: val for key, _, val in pairs})
+    except (OSError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    data = _apply_overrides(data, args)
-    for item in args.tolerance:
-        key, _, val = item.partition("=")
-        try:
-            tolerances.set_override(key, float(val))
-        except (KeyError, ValueError) as exc:
-            print(f"config error: --tolerance {item}: {exc}", file=sys.stderr)
-            return 2
+    for name in ("seed", "p", "q", "eps", "trials", "success_threshold"):
+        if getattr(args, name) is not None:
+            data[name] = getattr(args, name)
 
     config = ExperimentConfig(data)
     try:
-        report = run_experiment(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        out_dir = Path(args.out or _read(data, "out", TEXT, "."))
+        with scope:
+            report = run_experiment(config)
     except (BudgetExhaustedError, SearchFailedError) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
@@ -408,7 +399,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = Path(args.out or config.get("out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     if report.series:

@@ -36,7 +36,6 @@ from .errors import (
     BudgetExhaustedError,
     InvalidExponentError,
     InvalidSampleError,
-    InvalidWeightError,
     FactorExtractionError,
     MissingSeedError,
     OracleTooLargeError,
@@ -98,14 +97,9 @@ class WeightedPointSet(PointSet):
 
     def __init__(self, points, weights, provenance=None, factors=None):
         super().__init__(points, provenance, factors)
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if w.shape[0] != self.m:
-            raise InvalidWeightError(f"got {w.shape[0]} weights for {self.m} points")
-        if np.any(w <= 0):
-            raise InvalidWeightError("weights must be strictly positive")
-        self.weights = w
+        self.weights = norms.checked_weights(weights, self.m, "points")
         self.weights.setflags(write=False)
-        self.weight_sum = float(np.sum(w))
+        self.weight_sum = float(np.sum(self.weights))
 
     def to_dict(self) -> dict:
         out = super().to_dict()

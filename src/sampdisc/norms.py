@@ -253,6 +253,18 @@ def norm_sup(f: CoefficientVector) -> float:
 # discrete norms
 
 
+def checked_weights(weights, count: int, of: str) -> np.ndarray:
+    """``weights`` as a float vector of ``count`` finite positive entries."""
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.shape[0] != count:
+        raise InvalidWeightError(f"got {w.shape[0]} weights for {count} {of}")
+    if not np.all(np.isfinite(w)):
+        raise InvalidWeightError("weights must be finite")
+    if np.any(w <= 0):
+        raise InvalidWeightError("weights must be strictly positive")
+    return w
+
+
 def discrete_norm(s, p, weights=None) -> float:
     """Weighted discrete p-norm of a sample vector.
 
@@ -268,14 +280,7 @@ def discrete_norm(s, p, weights=None) -> float:
         return float(np.max(np.abs(vals)))
     if p < 1:
         raise InvalidExponentError("norm exponent must satisfy p >= 1")
-    if weights is None:
-        w = np.full(m, 1.0 / m)
-    else:
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if w.shape[0] != m:
-            raise InvalidWeightError(f"got {w.shape[0]} weights for {m} values")
-        if np.any(w <= 0):
-            raise InvalidWeightError("weights must be strictly positive")
+    w = np.full(m, 1.0 / m) if weights is None else checked_weights(weights, m, "values")
     return float(np.sum(w * np.abs(vals) ** p) ** (1.0 / p))
 
 

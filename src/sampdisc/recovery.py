@@ -29,7 +29,8 @@ from .errors import (
     InvalidWeightError,
     UnboundedBoundError,
 )
-from .norms import SampleVector, best_approx, call_target, handle_norm_p, sample_function
+from .norms import (SampleVector, best_approx, call_target, checked_weights, handle_norm_p,
+                    sample_function)
 from .spaces import CoefficientVector, Subspace, evaluate
 
 __all__ = [
@@ -136,11 +137,7 @@ def lpw_recover(samples: SampleVector, space: Subspace, p, weights) -> RecoveryR
         raise InvalidExponentError("recovery exponent must satisfy p >= 1")
     y = samples.values
     m = y.shape[0]
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.shape[0] != m:
-        raise InvalidWeightError(f"got {w.shape[0]} weights for {m} samples")
-    if np.any(w <= 0):
-        raise InvalidWeightError("weights must be strictly positive")
+    w = checked_weights(weights, m, "samples")
     U = space.basis_values(samples.source.points)
 
     c, rank = _optim.weighted_lstsq(U, y, w)

@@ -4,6 +4,8 @@ Every documented tolerance of the toolkit lives here so the CLI can
 override any of them with ``--tolerance KEY=VAL``.
 """
 
+from contextvars import ContextVar
+
 DEFAULTS = {
     # successive-refinement agreement when integrating |f|^p for non-even p
     "quad_stop": 1e-9,
@@ -17,19 +19,26 @@ DEFAULTS = {
     "recovery_slack": 1.05,
 }
 
-_active = dict(DEFAULTS)
+_active: ContextVar[dict] = ContextVar("sampdisc_tolerances", default=DEFAULTS)
 
 
 def get(name: str) -> float:
-    return _active[name]
+    return _active.get()[name]
 
 
-def set_override(name: str, value: float) -> None:
-    if name not in DEFAULTS:
-        raise KeyError(f"unknown tolerance {name!r}; known: {sorted(DEFAULTS)}")
-    _active[name] = float(value)
+class override:
+    """Context manager: ``{name: value}`` overrides held in a context variable for its
+    ``with`` block only, unseen by other runs and threads; checked on creation."""
 
+    def __init__(self, values: dict):
+        self._values = dict(_active.get())
+        for name, value in values.items():
+            if name not in DEFAULTS:
+                raise KeyError(f"unknown tolerance {name!r}; known: {sorted(DEFAULTS)}")
+            self._values[name] = float(value)
 
-def reset() -> None:
-    _active.clear()
-    _active.update(DEFAULTS)
+    def __enter__(self):
+        self._token = _active.set(self._values)
+
+    def __exit__(self, *exc):
+        _active.reset(self._token)

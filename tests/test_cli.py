@@ -5,12 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sampdisc
+from sampdisc import tolerances
 from sampdisc.cli import ExperimentConfig, main, run_experiment
 from sampdisc.errors import ConfigError
 
@@ -24,6 +28,7 @@ def run_cli(tmp_path, config, extra_args=()):
 
 
 TRIG5 = {"kind": "trig", "dimension": 1, "spectrum": [[-2], [-1], [0], [1], [2]]}
+TRIG3 = {"kind": "trig", "dimension": 1, "spectrum": [[-1], [0], [1]]}
 
 
 def test_certify_kind_exact_case():
@@ -53,16 +58,30 @@ def test_generate_kind_serializes_points():
     assert all(0 <= x[0] < 2 * math.pi for x in pts)
 
 
+RECOVER = {
+    "kind": "recover",
+    "space": TRIG3,
+    "sample": {"mode": "equispaced", "m": 9},
+    "target": {"spectrum": [[2], [-2]], "coefficients": [[0.5, 0], [0.5, 0]]},
+    "p": 2,
+}
+
+
 def test_recover_kind_anchor():
-    report = run_experiment(ExperimentConfig({
-        "kind": "recover",
-        "space": {"kind": "trig", "dimension": 1, "spectrum": [[-1], [0], [1]]},
-        "sample": {"mode": "equispaced", "m": 9},
-        "target": {"spectrum": [[2], [-2]], "coefficients": [[0.5, 0], [0.5, 0]]},
-        "p": 2,
-    }))
+    report = run_experiment(ExperimentConfig(RECOVER))
     assert report.summary["lhs"] == pytest.approx(1 / math.sqrt(2), abs=1e-6)
     assert report.summary["holds"]
+    assert report.summary["advisory"] is False
+
+
+def test_recover_kind_sup_norm_is_advisory(tmp_path):
+    # the sup-norm certificate is always heuristic, so p = inf ran into
+    # HeuristicCertificateError (exit 2) before the CLI allowed it
+    code, out = run_cli(tmp_path, dict(RECOVER, p="inf"))
+    assert code == 0
+    summary = json.loads((out / "report.json").read_text())["summary"]
+    assert summary["advisory"] is True
+    assert summary["lhs"] >= 0
 
 
 def test_subsample_kind():
@@ -175,6 +194,21 @@ def test_cli_config_error_exit_code(tmp_path):
     ({"kind": "study-tensor", "factors": [TRIG5, {"kind": "trig", "dimension": 1}],
       "factor_samples": [{"mode": "equispaced", "m": 5}, {"mode": "equispaced", "m": 3}],
       "p": 2, "seed": 8}, "factors.1.spectrum"),
+    # malformed scalars that skipped every check and exited 1 with a traceback
+    ({"kind": "certify", "space": TRIG3, "sample": {"mode": "equispaced", "m": 5}, "p": 2,
+      "budget": "x"}, "budget"),
+    ({"kind": "study-scaling", "Ns": ["a"], "p": 2, "eps": 0.5, "trials": 5,
+      "success_threshold": 0.9, "seed": 1}, "Ns.0"),
+    ({"kind": "study-lacunary", "ns": [2], "ratio": "x", "p": 4, "eps": 0.5, "trials": 2,
+      "success_threshold": 0.9, "seed": 1}, "ratio"),
+    ({"kind": "study-scaling", "Ns": [3], "p": 2, "eps": 0.5, "trials": 5,
+      "success_threshold": 0.9, "seed": 1, "m_max_factor": "x"}, "m_max_factor"),
+    ({"kind": "subsample", "space": TRIG3, "q": 2, "eps": 0.5,
+      "budgets": {"stage1_s": 40, "stage2_m": 10, "retries": "x"}, "seed": 1}, "budgets.retries"),
+    ({"kind": "generate", "space": TRIG3, "sample": {"mode": "equispaced", "sizes": ["a"]}},
+     "sample.sizes.0"),
+    ({"kind": "recover", "space": TRIG3, "sample": {"mode": "equispaced", "m": 9},
+      "target": {"spectrum": [[2]], "coefficients": ["x"]}, "p": 2}, "target.coefficients.0"),
 ])
 def test_cli_malformed_field_exits_2_without_traceback(tmp_path, config, field):
     cfg = tmp_path / "config.json"
@@ -198,23 +232,35 @@ def test_cli_budget_exhaustion_exit_code(tmp_path):
 
 
 def test_cli_tolerance_override(tmp_path):
-    from sampdisc import tolerances
-
-    code, _ = run_cli(tmp_path, {
-        "kind": "certify", "space": TRIG5,
-        "sample": {"mode": "equispaced", "m": 5}, "p": 2,
-    }, extra_args=("--tolerance", "recovery_slack=1.2"))
+    code, out = run_cli(tmp_path / "a", RECOVER, extra_args=("--tolerance", "recovery_slack=1.2"))
     assert code == 0
-    assert tolerances.get("recovery_slack") == 1.2
-    tolerances.reset()
+    assert json.loads((out / "report.json").read_text())["records"][0]["slack"] == 1.2
+    # the override ends with its run
+    assert tolerances.get("recovery_slack") == tolerances.DEFAULTS["recovery_slack"]
+    code, out = run_cli(tmp_path / "b", RECOVER)
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["records"][0]["slack"] == 1.05
 
 
 def test_cli_rejects_unknown_tolerance(tmp_path):
-    code, _ = run_cli(tmp_path, {
-        "kind": "certify", "space": TRIG5,
-        "sample": {"mode": "equispaced", "m": 5}, "p": 2,
-    }, extra_args=("--tolerance", "bogus=1"))
+    code, _ = run_cli(tmp_path, RECOVER,
+                      extra_args=("--tolerance", "recovery_slack=1.1", "--tolerance", "bogus=1"))
     assert code == 2
+    # a rejected run applies none of its overrides, not even the valid ones
+    assert tolerances.get("recovery_slack") == tolerances.DEFAULTS["recovery_slack"]
+
+
+def test_tolerance_override_is_scoped_and_checked_up_front():
+    with tolerances.override({"quad_stop": "1e-10"}):
+        assert tolerances.get("quad_stop") == 1e-10
+        with tolerances.override({"quad_stop": 1e-6, "minimax_rel": 1e-3}):
+            assert (tolerances.get("quad_stop"), tolerances.get("minimax_rel")) == (1e-6, 1e-3)
+        assert (tolerances.get("quad_stop"), tolerances.get("minimax_rel")) == (1e-10, 1e-4)
+    assert tolerances.get("quad_stop") == 1e-9
+    with pytest.raises(KeyError):
+        tolerances.override({"quad_stop": 1e-10, "bogus": 1})
+    with pytest.raises(ValueError):
+        tolerances.override({"quad_stop": "x"})
 
 
 def _walk_certificates(obj):
@@ -242,3 +288,58 @@ def test_report_certificates_carry_status_and_method(tmp_path):
     for cert in certs:
         assert cert["status"]
         assert cert["method"]
+
+
+# Smallest valid config of each kind, and the fields the fuzz test replaces.
+FUZZ_BASE = {
+    "certify": {"kind": "certify", "space": TRIG3, "sample": {"mode": "equispaced", "m": 3}, "p": 2},
+    "nikolskii": {"kind": "nikolskii", "space": TRIG3, "q": 2},
+    "generate": {"kind": "generate", "space": TRIG3, "sample": {"mode": "iid", "m": 4}, "seed": 1},
+    "subsample": {"kind": "subsample", "space": TRIG3, "q": 2, "eps": 0.5,
+                  "budgets": {"stage1_s": 30, "stage2_m": 10, "retries": 3}, "seed": 1},
+    "recover": RECOVER,
+    "study-scaling": {"kind": "study-scaling", "Ns": [3], "p": 2, "eps": 0.5, "trials": 2,
+                      "success_threshold": 0.5, "seed": 1},
+    "study-lacunary": {"kind": "study-lacunary", "ns": [2], "p": 4, "eps": 0.5, "trials": 2,
+                       "success_threshold": 0.5, "seed": 1, "budget": 4},
+    "study-tensor": {"kind": "study-tensor", "factors": [TRIG3, TRIG3],
+                     "factor_samples": [{"mode": "equispaced", "m": 3}, {"mode": "iid", "m": 4}],
+                     "p": 2, "seed": 1},
+}
+NESTED = ("space.spectrum", "space.dimension", "sample.m", "sample.mode", "budgets.retries",
+          "target.coefficients", "target.spectrum", "factors.0.spectrum", "factor_samples.1")
+
+
+def _fuzz_cases():
+    return [(kind, path) for kind, base in FUZZ_BASE.items() for path in [*base, *NESTED]
+            if ExperimentConfig(base).get(path) is not None]
+
+
+def _replaced(config, path, value):
+    config = json.loads(json.dumps(config))
+    parts = path.split(".")
+    node = config
+    for part in parts[:-1]:
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    node[int(parts[-1]) if isinstance(node, list) else parts[-1]] = value
+    return config
+
+
+# integers stay small so that no example can ask for a large grid or point set
+_small = st.integers(-64, 3)
+WRONG_VALUES = st.one_of(
+    st.text(alphabet="xyz", max_size=3), st.none(), st.booleans(), st.integers(-64, -1),
+    st.lists(_small, max_size=3), st.dictionaries(st.text(alphabet="xyz", max_size=2), _small, max_size=2),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.sampled_from(_fuzz_cases()), value=WRONG_VALUES)
+def test_cli_wrong_field_types_exit_cleanly(case, value):
+    kind, path = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(_replaced(FUZZ_BASE[kind], path, value)))
+        code = main(["--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)

@@ -24,7 +24,9 @@ from sampdisc.errors import (
     InvalidWeightError,
     UnsupportedNormError,
 )
-from sampdisc.norms import pnorm_objective, torus_grid
+from sampdisc.discretization import PointSet, WeightedPointSet
+from sampdisc.norms import SampleVector, pnorm_objective, torus_grid
+from sampdisc.recovery import lpw_recover
 
 TWO_PI = 2 * math.pi
 
@@ -142,6 +144,21 @@ def test_discrete_norm_rejects_bad_weights():
         discrete_norm(np.array([1.0, 2.0]), 2, weights=[0.5, -0.5])
     with pytest.raises(UnsupportedNormError):
         discrete_norm(np.array([1.0, 2.0]), math.inf, weights=[0.5, 0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["WeightedPointSet", "discrete_norm", "lpw_recover"])
+def test_non_finite_weights_rejected(entry, bad):
+    # nan <= 0 is False, so a positivity test alone lets NaN through
+    weights = [bad, 1.0, 1.0]
+    pts = np.array([[0.0], [2.0], [4.0]])
+    with pytest.raises(InvalidWeightError):
+        if entry == "WeightedPointSet":
+            WeightedPointSet(pts, weights)
+        elif entry == "discrete_norm":
+            discrete_norm([1.0, 2.0, 3.0], 2, weights=weights)
+        else:
+            lpw_recover(SampleVector([1.0, 2.0, 3.0], PointSet(pts)), full_trig_space(1), 2, weights)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
