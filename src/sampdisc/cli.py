@@ -121,8 +121,6 @@ def _build_space(desc, path):
 
 def _build_sample(space, spec, seed, at="sample."):
     """Draw the points of a SAMPLE spec read at ``at``; its seed overrides ``seed``."""
-    if spec["mode"] == "equispaced":
-        return generate_points(space, "equispaced", spec["m"], sizes=spec["sizes"])
     if spec["mode"] == "tensor":
         if space.factors is None:
             raise ConfigError(f"{at}mode", "tensor sampling needs a tensor-product space")
@@ -132,6 +130,12 @@ def _build_sample(space, spec, seed, at="sample."):
         return generate_points(space, "tensor", factors=[
             _build_sample(fac, sub, seed, f"{at}factor_samples.{i}.")
             for i, (fac, sub) in enumerate(zip(space.factors, subs))])
+    if spec["m"] is None and (spec["mode"] != "equispaced" or spec["sizes"] is None):
+        raise ConfigError(f"{at}m", "missing required field (an equispaced sample may give sizes)")
+    if spec["mode"] == "equispaced":
+        if spec["sizes"] is not None and len(spec["sizes"]) != space.domain.dim:
+            raise ConfigError(f"{at}sizes", f"need {space.domain.dim}, one per dimension")
+        return generate_points(space, "equispaced", spec["m"], sizes=spec["sizes"])
     seed = seed if spec["seed"] is None else spec["seed"]
     if seed is None:
         raise ConfigError(f"{at}seed", "random sampling requires a seed")
@@ -271,6 +275,9 @@ def _run_subsample(report, space, q, eps, budgets, seed):
 
 
 def _run_recover(report, space, sample, target, p, seed):
+    if target.space.domain != space.domain:
+        raise ConfigError("target.spectrum", f"frequencies of dimension {target.space.domain.dim} "
+                          f"for a space of dimension {space.domain.dim}")
     # acts at p = inf only, where the sup-norm certificate is always heuristic
     bound_report = verify_recovery(target, space, _build_sample(space, sample, seed), p,
                                    allow_heuristic=True)

@@ -288,27 +288,6 @@ def discrete_norm(s, p, weights=None) -> float:
 # best approximation
 
 
-def pnorm_objective(V, gamma, target_vals, p):
-    """Value and gradient of ``J(c) = sum_g gamma_g |t_g - (V c)_g|^p``.
-
-    The gradient is with respect to the complex coefficients in the real
-    inner product sense (steepest ascent direction is ``grad``). Exposed
-    for finite-difference verification.
-    """
-
-    def value(c):
-        r = target_vals - V @ c
-        return float(np.sum(gamma * np.abs(r) ** p))
-
-    def grad(c):
-        r = target_vals - V @ c
-        a = np.abs(r)
-        a = np.maximum(a, 1e-15)  # keeps |r|^(p-2) finite for p < 2
-        return -p * (V.conj().T @ (gamma * a ** (p - 2.0) * r))
-
-    return value, grad
-
-
 def _approx_grid(target, space, base_floor):
     """Grid, weights, and target values for the approximation solvers."""
     if isinstance(target, SampleVector):
@@ -323,7 +302,8 @@ def _approx_grid(target, space, base_floor):
 
 
 def _project_l2(target, space):
-    """Orthogonal projection via the exact Gram system; grid right-hand side."""
+    """Orthogonal projection via the exact Gram system; grid right-hand side.
+    Returns ``(c, distance, (V, gamma, t))``, the last three on the final grid."""
     B = space.coef_gram()
     last_c = None
     floor = 256 if len(space.degrees) == 1 else 64
@@ -337,7 +317,7 @@ def _project_l2(target, space):
         dist = float(np.sqrt(np.sum(gamma * np.abs(t - V @ c) ** 2)))
         converged = last_c is not None and np.max(np.abs(c - last_c)) <= 1e-10 and abs(dist - last_d) <= 1e-9
         if converged or fixed_grid or grid.shape[0] * 2 > _MAX_GRID:
-            return c, dist, (grid, gamma, t, V)
+            return c, dist, (V, gamma, t)
         last_c, last_d = c, dist
         floor = 2 * max(floor, max(64 * deg for deg in space.degrees))
 
@@ -350,8 +330,9 @@ def best_approx(target, space: Subspace, p):
     p = 2 the projection itself is the exact orthogonal one. The p = inf
     branch is a discrete minimax fit by :func:`_optim.lawson`, which stops
     when its maximum residual stalls and is not held to a stated relative
-    accuracy. Other exponents use convex descent to the ``descent_tol``
-    first-order tolerance.
+    accuracy. Other exponents run :func:`_optim.minimize_residual`, the
+    solver of :func:`recovery.lpw_recover`, on the L2 projection's grid
+    from the projection, to the ``recovery_tol`` first-order tolerance.
     """
     if p != math.inf and p < 1:
         raise InvalidExponentError("norm exponent must satisfy p >= 1")
@@ -359,34 +340,11 @@ def best_approx(target, space: Subspace, p):
         grid, gamma, t = _approx_grid(target, space, 512 if len(space.degrees) == 1 else 128)
         c, dist, _ = _optim.lawson(space.basis_values(grid), t, gamma)
         return CoefficientVector(space, c), dist
-    c2, dist2, cache = _project_l2(target, space)
+    c2, dist2, (V, gamma, t) = _project_l2(target, space)
     if p == 2:
         return CoefficientVector(space, c2), dist2
-    grid, gamma, t, V = cache
-    value, grad = pnorm_objective(V, gamma, t, p)
-    c = c2.copy()
-    fc = value(c)
-    step = 1.0
-    tol = tolerances.get("descent_tol")
-    for _ in range(5000):
-        g = grad(c)
-        gn = float(np.linalg.norm(g))
-        if gn <= tol:
-            break
-        improved = False
-        while step > 1e-16:
-            cand = c - step * g
-            fcand = value(cand)
-            if fcand < fc - 1e-16:
-                c, fc = cand, fcand
-                improved = True
-                step *= 1.6
-                break
-            step *= 0.5
-        if not improved:
-            break
-    dist = fc ** (1.0 / p)
-    return CoefficientVector(space, c), float(dist)
+    c, total, _ = _optim.minimize_residual(V, t, gamma, p, c2)
+    return CoefficientVector(space, c), total ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

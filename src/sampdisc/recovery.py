@@ -2,9 +2,10 @@
 
 The recovery operator returns the element of the subspace minimizing the
 weighted discrete p-norm of the sample residual. At p = 2 this is plain
-weighted least squares and exact; other exponents run iteratively
-reweighted least squares with a gradient fallback, initialized at the
-p = 2 solution so the result is deterministic.
+weighted least squares and exact; other finite exponents run the residual
+solver of best approximation, ``_optim.minimize_residual`` (IRLS with a
+gradient fallback), from the p = 2 solution, so the result is
+deterministic; p = inf runs Lawson's minimax fit.
 
 The error bound engine converts a certified discretization certificate
 into the constant ``2 * C1^(-1) * C2^(1/p) + 1`` multiplying the
@@ -98,35 +99,15 @@ class RecoveryBoundReport:
         }
 
 
-def _sample_gradient(U, y, w, c, p):
-    r = y - U @ c
-    a = np.maximum(np.abs(r), 1e-300)
-    return -p * (U.conj().T @ (w * a ** (p - 2.0) * r)), r
-
-
-def _halving_step(U, y, w, p, c, obj, direction, t_min):
-    """``(c', obj', r')`` for the first ``c' = c + t * direction``, t = 1, 1/2,
-    ... down to ``t_min``, that lowers ``sum w |y - U c|^p`` below ``obj``;
-    None if none does."""
-    t = 1.0
-    while t > t_min:
-        cand = c + t * direction
-        r = y - U @ cand
-        val = float(np.sum(w * np.abs(r) ** p))
-        if val < obj - 1e-16:
-            return cand, val, r
-        t *= 0.5
-    return None
-
-
 def lpw_recover(samples: SampleVector, space: Subspace, p, weights) -> RecoveryResult:
     """Minimize the weighted discrete p-norm of the sample residual.
 
     p = 2 solves the weighted normal equations through an orthogonal
     factorization; rank-deficient systems return the minimum-norm
-    solution with the ``degenerate`` flag set. Other finite p run damped
-    IRLS from the p = 2 solution until the first-order measure drops
-    below ``recovery_tol``. p = inf runs :func:`_optim.lawson` on the
+    solution with the ``degenerate`` flag set. Other finite p run
+    :func:`_optim.minimize_residual`, the solver :func:`best_approx` runs
+    on its grid, from the p = 2 solution; its report holds ``iterations``
+    and ``final_grad_norm``. p = inf runs :func:`_optim.lawson` on the
     samples from the given weights (advisory; see the bound's p = inf
     caveats); its report carries Lawson's ``lower_bound`` on the minimax
     residual.
@@ -147,39 +128,18 @@ def lpw_recover(samples: SampleVector, space: Subspace, p, weights) -> RecoveryR
         report["final_grad_norm"] = math.nan
         return RecoveryResult(CoefficientVector(space, c), resid, p, w, report, degenerate)
 
-    tol = tolerances.get("recovery_tol")
-    g, r = _sample_gradient(U, y, w, c, p)
-    scale = max(1.0, float(np.linalg.norm(g)))
-    obj = float(np.sum(w * np.abs(r) ** p))
-    for iterations in range(1, 301):
-        # at p = 2 the least-squares solution is the exact minimizer
-        if p == 2 or float(np.linalg.norm(g)) <= tol * scale:
-            break
-        # IRLS proposal; residual moduli and weights clipped below to keep
-        # the reweighted system finite near exact fits
-        a = np.maximum(np.abs(r), 1e-12)
-        omega = np.maximum(w * a ** (p - 2.0), 1e-12)
-        c_prop, _ = _optim.weighted_lstsq(U, y, omega)
-        # the IRLS step, with the gradient as fallback
-        moved = (_halving_step(U, y, w, p, c, obj, c_prop - c, 1e-14)
-                or _halving_step(U, y, w, p, c, obj, -g, 1e-16))
-        if moved is None:
-            break
-        c, obj, r = moved
-        g, r = _sample_gradient(U, y, w, c, p)
-    report = {"iterations": iterations,
-              "final_grad_norm": float(np.linalg.norm(g))}
-    resid = float(np.sum(w * np.abs(r) ** p) ** (1.0 / p))
-    return RecoveryResult(CoefficientVector(space, c), resid, p, w, report, degenerate)
+    c, total, report = _optim.minimize_residual(U, y, w, p, c)
+    return RecoveryResult(CoefficientVector(space, c), total ** (1.0 / p), p, w, report, degenerate)
 
 
 def recovery_bound(cert: Certificate, weights, p) -> float:
     """The constant ``2 C1^(-1) C2^(1/p) + 1`` from a certified certificate.
 
     The certificate's power-form lower constant converts to norm form by
-    the 1/p-th power; the weight budget C2 is the plain weight sum. A
-    certificate in uniform form is only accepted together with uniform
-    weights, since its bounds say nothing about other weightings.
+    the 1/p-th power; the weight budget C2 is the plain weight sum. The
+    weights must be nonempty, finite and positive. A certificate in uniform
+    form is only accepted together with uniform weights, since its bounds
+    say nothing about other weightings.
     """
     if cert.status != "certified":
         raise HeuristicCertificateError(
@@ -189,9 +149,12 @@ def recovery_bound(cert: Certificate, weights, p) -> float:
         raise InvalidExponentError(f"certificate is for p={cert.p}, not p={p}")
     if cert.c1_pow <= 0:
         raise UnboundedBoundError("lower discretization constant is zero")
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.size == 0:
+        raise InvalidWeightError("need at least one weight")
+    w = checked_weights(w, w.size, "samples")
     if p == math.inf:
         return 2.0 / cert.c1_pow + 1.0
-    w = np.asarray(weights, dtype=float).reshape(-1)
     if not cert.weighted:
         if not np.allclose(w, 1.0 / w.shape[0], rtol=0, atol=1e-12):
             raise InvalidWeightError(

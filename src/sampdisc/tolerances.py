@@ -11,9 +11,8 @@ DEFAULTS = {
     "quad_stop": 1e-9,
     # stall rule of the discrete minimax (Lawson) fit
     "minimax_rel": 1e-4,
-    # first-order optimality for convex descent (best approximation)
-    "descent_tol": 1e-8,
-    # first-order optimality for the sample recovery optimizer
+    # first-order optimality of the finite-p residual solver (best
+    # approximation and sample recovery)
     "recovery_tol": 1e-8,
     # slack factor applied when verifying the recovery error bound
     "recovery_slack": 1.05,

@@ -209,6 +209,12 @@ def test_cli_config_error_exit_code(tmp_path):
      "sample.sizes.0"),
     ({"kind": "recover", "space": TRIG3, "sample": {"mode": "equispaced", "m": 9},
       "target": {"spectrum": [[2]], "coefficients": ["x"]}, "p": 2}, "target.coefficients.0"),
+    # config errors that the library raised without naming the field
+    ({"kind": "recover", "space": TRIG3, "sample": {"mode": "equispaced", "m": 9},
+      "target": {"spectrum": [[1, 0], [0, 1]], "coefficients": [1, 1]}, "p": 2}, "target.spectrum"),
+    ({"kind": "generate", "space": TRIG3, "sample": {"mode": "equispaced"}}, "sample.m"),
+    ({"kind": "generate", "space": TRIG3, "sample": {"mode": "equispaced", "sizes": [4, 4]}},
+     "sample.sizes"),
 ])
 def test_cli_malformed_field_exits_2_without_traceback(tmp_path, config, field):
     cfg = tmp_path / "config.json"
@@ -261,6 +267,16 @@ def test_tolerance_override_is_scoped_and_checked_up_front():
         tolerances.override({"quad_stop": 1e-10, "bogus": 1})
     with pytest.raises(ValueError):
         tolerances.override({"quad_stop": "x"})
+
+
+def test_readme_tolerance_table_matches_defaults():
+    # every key of tolerances.DEFAULTS has one README row with its default, and no other row
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | default | governs |\n| --- | --- | --- |\n")[1].split("\n\n")[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()]
+    assert {key.strip().strip("`"): float(default.strip().strip("`")) for key, default in rows} \
+        == tolerances.DEFAULTS
+    assert len(rows) == len(tolerances.DEFAULTS)
 
 
 def _walk_certificates(obj):

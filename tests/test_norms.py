@@ -18,6 +18,7 @@ from sampdisc import (
     norm_sup,
     tensor_product,
 )
+from sampdisc import _optim
 from sampdisc.errors import (
     DegenerateSpaceError,
     InvalidExponentError,
@@ -25,7 +26,7 @@ from sampdisc.errors import (
     UnsupportedNormError,
 )
 from sampdisc.discretization import PointSet, WeightedPointSet
-from sampdisc.norms import SampleVector, pnorm_objective, torus_grid
+from sampdisc.norms import SampleVector, torus_grid
 from sampdisc.recovery import lpw_recover
 
 TWO_PI = 2 * math.pi
@@ -234,11 +235,15 @@ def test_pnorm_objective_gradient_matches_finite_differences(p):
     V = sp.basis_values(xs)
     gamma = np.full(64, 1 / 64)
     t = np.cos(2 * xs[:, 0]) + 0.2
-    value, grad = pnorm_objective(V, gamma, t, p)
+
+    def value(c):
+        return float(np.sum(gamma * np.abs(t - V @ c) ** p))
+
+    # the gradient of the residual solver shared by best_approx and lpw_recover
     h = 1e-6
     for _ in range(10):
         c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        g = grad(c)
+        g = _optim.residual_gradient(V.conj().T, gamma, t - V @ c, p)
         for i in range(3):
             e = np.zeros(3, dtype=complex)
             e[i] = h

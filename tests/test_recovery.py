@@ -170,6 +170,18 @@ def test_p_inf_recovery_matches_best_approx_on_its_grid():
     assert res.discrete_residual == pytest.approx(dist, rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.5, 3, 4])
+def test_finite_p_recovery_matches_best_approx_on_its_grid(p):
+    # one residual solver serves both; 2048 nodes is best_approx's grid for
+    # this degree-8 target
+    sp = full_trig_space(8)
+    target = lambda x: np.maximum(np.cos(x), 0.0) ** 2  # noqa: E731
+    grid = PointSet(torus_grid([2048]))
+    res = lpw_recover(sample_function(target, grid), sp, p, uniform(2048))
+    _, dist = best_approx(target, sp, p)
+    assert res.discrete_residual == pytest.approx(dist, rel=1e-12, abs=0)
+
+
 def test_p4_deterministic():
     sp = full_trig_space(1)
     pts = generate_points(sp, "iid", 9, seed=43)
@@ -209,6 +221,13 @@ def test_uniform_certificate_rejects_other_weights():
     cert = Certificate(2.0, 1.0, 1.0, "exact-eigen", "certified", weighted=False)
     with pytest.raises(InvalidWeightError):
         recovery_bound(cert, np.array([0.9, 0.1]), 2)
+
+
+@pytest.mark.parametrize("weights", [[math.nan, 0.5, 0.5], [-1.0, 0.5, 0.5], []])
+def test_bound_rejects_bad_weights(weights):
+    cert = Certificate(2.0, 0.5, 1.0, "exact-eigen", "certified", weighted=True)
+    with pytest.raises(InvalidWeightError):
+        recovery_bound(cert, weights, 2)
 
 
 def test_verify_recovery_member_trivial():
