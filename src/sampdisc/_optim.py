@@ -1,7 +1,8 @@
 """Deterministic solvers shared by the norm and recovery modules.
 
 ``extremize_ratio`` is a projected-gradient search on coefficient spheres,
-used to extremize ratios of discrete to continuous p-th power norms.
+used to extremize ratios of discrete to continuous p-th power norms, and
+sup-to-L_q ratios with the ``SMOOTH_SUP_P`` power mean as the sup.
 Restarts run as one batched numpy computation and every restart derives
 its step size independently. The bits of a row of ``C[subset] @ U.T`` can
 differ from the same row of ``C @ U.T``, so which restarts share a call
@@ -28,28 +29,31 @@ from . import tolerances
 # 2**-k, the step factor after k halvings
 _SCALES = 0.5 ** np.arange(26)
 
+# exponent of the power mean that stands in for a maximum over a grid
+SMOOTH_SUP_P = 64.0
+
 
 def _power_sum(Y, w, p):
     return (np.abs(Y) ** p) @ w
 
 
-def _power_grad(C, mat, w, p, Y):
+def _power_grad(mat, w, p, Y):
     # gradient of sum_j w_j |(mat c)_j|^p in the real inner product sense
-    a = np.abs(Y)
-    a = np.maximum(a, 1e-300)
+    a = np.maximum(np.abs(Y), 1e-300)
     return p * ((w * a ** (p - 2.0) * Y) @ np.conj(mat))
 
 
-def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, iters=150,
-                    maximize=False, seed=(0xD15C, 0), extra_starts=None):
-    """Extremize ``R(c) = sum w |num_mat c|^p / sum gamma |den_mat c|^p``.
+def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=False,
+                    seed=(0xD15C, 0), extra_starts=None, den_p=None):
+    """Extremize ``R(c) = sum w |num_mat c|^p / (sum gamma |den_mat c|^q)^(p/q)``
+    with ``q = den_p``, by default ``p``.
 
-    Returns ``(ratio, c, report)`` for the best restart. The search moves
-    along the gradient of log R with per-restart step halving and sphere
-    renormalization (R is scale-invariant). The minimum found is an upper
-    bound on the true infimum and the maximum found is a lower bound on
-    the true supremum. The report holds ``iterations`` (gradient steps),
-    ``restarts`` and ``evaluations`` (objective calls).
+    Returns ``(ratio, c, report)`` for the best restart. The search takes
+    up to 150 steps along the gradient of log R with per-restart step
+    halving and sphere renormalization (R is scale-invariant). The minimum
+    found is an upper bound on the true infimum and the maximum found is a
+    lower bound on the true supremum. The report holds ``iterations``
+    (gradient steps), ``restarts`` and ``evaluations`` (objective calls).
     """
     n = num_mat.shape[1]
     rng = np.random.default_rng(seed)
@@ -62,13 +66,15 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, iters=150,
 
     num_w = np.asarray(num_w, dtype=float)
     den_w = np.asarray(den_w, dtype=float)
+    q = p if den_p is None else den_p
+    k_den = p / q  # exactly 1.0 when q is p
 
     def objective(Cb):
         Yn = Cb @ num_mat.T
         Yd = Cb @ den_mat.T
         Sn = _power_sum(Yn, num_w, p)
-        Sd = _power_sum(Yd, den_w, p)
-        F = sign * (np.log(np.maximum(Sn, 1e-300)) - np.log(np.maximum(Sd, 1e-300)))
+        Sd = _power_sum(Yd, den_w, q)
+        F = sign * (np.log(np.maximum(Sn, 1e-300)) - k_den * np.log(np.maximum(Sd, 1e-300)))
         return F, Yn, Yd, Sn, Sd
 
     F, Yn, Yd, Sn, Sd = objective(C)
@@ -76,12 +82,12 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, iters=150,
     step = np.full(C.shape[0], 0.25)
     active = np.ones(C.shape[0], dtype=bool)
     it = 0
-    for it in range(iters):
+    for it in range(150):
         if not np.any(active):
             break
-        Gn = _power_grad(C, num_mat, num_w, p, Yn)
-        Gd = _power_grad(C, den_mat, den_w, p, Yd)
-        G = sign * (Gn / np.maximum(Sn, 1e-300)[:, None] - Gd / np.maximum(Sd, 1e-300)[:, None])
+        Gn = _power_grad(num_mat, num_w, p, Yn)
+        Gd = _power_grad(den_mat, den_w, q, Yd)
+        G = sign * (Gn / np.maximum(Sn, 1e-300)[:, None] - k_den * (Gd / np.maximum(Sd, 1e-300)[:, None]))
         moved = np.zeros(C.shape[0], dtype=bool)
         # Up to 25 halvings of the step: accept the restarts whose candidate
         # improves, halve the step of the others. After a halving that moved
@@ -121,7 +127,7 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, iters=150,
             step[trial[~ok]] *= _SCALES[b + 1]
             halving += b + 1
         active &= moved | (step > 1e-13)
-    ratios = Sn / np.maximum(Sd, 1e-300)
+    ratios = Sn / np.maximum(Sd, 1e-300) ** k_den
     best = int(np.argmax(ratios)) if maximize else int(np.argmin(ratios))
     report = {"iterations": it + 1, "restarts": int(C.shape[0]), "evaluations": evaluations}
     return float(ratios[best]), C[best], report

@@ -304,12 +304,11 @@ def _sup_certificate(space, sample, budget) -> Certificate:
     # search, the reported constant is the true ratio at the best point
     U = space.basis_values(sample.points)
     V = space.basis_values(space.grid([max(96 * deg, 96) for deg in space.degrees]))
-    p_smooth = 64.0
     wnum = np.full(U.shape[0], 1.0 / U.shape[0])
     wden = np.full(V.shape[0], 1.0 / V.shape[0])
     _, sv, vt = np.linalg.svd(U, full_matrices=False)
     extras = [vt[-1].conj(), np.ones(space.dim) / math.sqrt(space.dim)]
-    _, c, _ = _optim.extremize_ratio(U, wnum, V, wden, p_smooth, restarts=budget,
+    _, c, _ = _optim.extremize_ratio(U, wnum, V, wden, _optim.SMOOTH_SUP_P, restarts=budget,
                                      seed=(0xC3, 0), extra_starts=extras)
     f = CoefficientVector(space, c)
     num = float(np.max(np.abs(U @ c)))
@@ -372,9 +371,9 @@ def _abs_pow(y, p):
 
 
 def _oracle_ratios(C, U, w, V, gamma, p):
-    disc = _abs_pow(C @ U.T, p) @ w
-    cont = _abs_pow(C @ V.T, p) @ gamma
-    return disc / np.maximum(cont, 1e-300)
+    # 1,024 directions at a time, so the products with V stay small
+    return np.concatenate([(_abs_pow(B @ U.T, p) @ w) / np.maximum(_abs_pow(B @ V.T, p) @ gamma, 1e-300)
+                           for B in np.split(C, range(1024, C.shape[0], 1024))])
 
 
 def brute_force_certificate(space: Subspace, sample: PointSet, p,
@@ -387,7 +386,9 @@ def brute_force_certificate(space: Subspace, sample: PointSet, p,
     sweeps around the extremes sharpen the estimate. The reported
     tolerance scales like the squared covering radius of the sweep,
     calibrated to 1e-3 at resolution 200. Guarded to N <= 3 and to a
-    finite p >= 1.
+    finite p >= 1. The label is ``heuristic-upper-C1`` (the minimum seen
+    bounds C1 from above, the maximum C2 from below), except at N = 1,
+    whose single ratio is exact and ``certified``.
     """
     if p == math.inf or p < 1:
         raise InvalidExponentError("the oracle needs a finite exponent p >= 1")
@@ -433,8 +434,8 @@ def brute_force_certificate(space: Subspace, sample: PointSet, p,
                 if r[i] > hi:
                     hi, c_hi = float(r[i]), C[i]
         h /= 4.0
-    return Certificate(float(p), max(lo, 0.0), hi, "brute-force", "certified", tolerance=tol,
-                       weighted=weighted)
+    return Certificate(float(p), max(lo, 0.0), hi, "brute-force", "heuristic-upper-C1",
+                       tolerance=tol, weighted=weighted)
 
 
 # ---------------------------------------------------------------------------

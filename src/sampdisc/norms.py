@@ -67,7 +67,9 @@ class NikolskiiEstimate:
 
     ``B = M / N**(1/q)`` is the normalized form used by the sampling
     budgets. ``method`` is "analytic" when M is an exact identity (q = 2)
-    and "grid-search" when it is a heuristic lower estimate.
+    and "grid-search" when it is a heuristic lower estimate: the true
+    ratio ``sup |f| / ||f||_q`` at the element a smoothed sphere search
+    found, with ``grid_size`` nodes in that search's sup grid.
     """
 
     def __init__(self, q, M, B, method, grid_size=0):
@@ -103,7 +105,7 @@ def call_target(target, points) -> np.ndarray:
     return vals
 
 
-def sample_function(target, pointset, space: Subspace | None = None) -> SampleVector:
+def sample_function(target, pointset) -> SampleVector:
     """Build the sample vector of ``target`` at the nodes of ``pointset``;
     see :func:`call_target` for the accepted targets."""
     return SampleVector(call_target(target, pointset.points), source=pointset)
@@ -211,15 +213,19 @@ def _golden_max(fn, lo, hi, iters=60):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def sup_argmax(f: CoefficientVector, grid_factor: int = 64):
+def _sup_sizes(space: Subspace):
+    return [max(64 * deg, 64) for deg in space.degrees]
+
+
+def sup_argmax(f: CoefficientVector):
     """Lower estimate of ``max |f|`` together with a maximizing point.
 
-    Torus search: an equispaced grid with at least ``grid_factor * degree``
-    nodes per dimension, followed by coordinate-wise golden-section
-    refinement. Finite domains are scanned exactly.
+    Torus search: an equispaced grid with at least ``64 * degree`` nodes
+    per dimension, followed by coordinate-wise golden-section refinement.
+    Finite domains are scanned exactly.
     """
     space = f.space
-    sizes = [max(grid_factor * deg, grid_factor) for deg in space.degrees]
+    sizes = _sup_sizes(space)
     grid = space.grid(sizes)
     vals = np.abs(evaluate(f, grid))
     j = int(np.argmax(vals))
@@ -385,70 +391,16 @@ def christoffel_density(space: Subspace, points) -> np.ndarray:
     return np.sum(np.abs(W) ** 2, axis=1)
 
 
-def _nikolskii_search(space: Subspace, q: float):
-    """Local ascent on ``sup |f| / ||f||_q`` from deterministic starts."""
-    Vq, gq = power_rule(space, q)
-    orthonormal_transform(space)  # rejects rank-deficient bases up front
-    n = space.dim
-    sup_grid = space.grid([max(64 * deg, 64) for deg in space.degrees])
-    Vs = space.basis_values(sup_grid)
-
-    def ratio_parts(c):
-        sv = np.abs(Vs @ c)
-        j = int(np.argmax(sv))
-        qv = Vq @ c
-        sq = float(np.sum(gq * np.abs(qv) ** q))
-        return float(sv[j]), j, qv, sq
-
-    # the conjugated-peak start is the exact extremizer for flat systems; the
-    # peak is at the grid's first point (the torus origin, or point 0)
-    peak = space.basis_values(sup_grid[:1])
-    starts = [np.conj(peak).ravel(), np.ones(n, dtype=complex)]
-    rng = np.random.default_rng((101, n, int(round(q * 1000))))
-    for _ in range(6):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        starts.append(v)
-    best = 0.0
-    best_c = starts[0]
-    for c0 in starts:
-        c = c0 / np.linalg.norm(c0)
-        sup_v, j, qv, sq = ratio_parts(c)
-        fval = math.log(max(sup_v, 1e-300)) - math.log(max(sq, 1e-300)) / q
-        step = 0.5
-        for _ in range(80):
-            y = Vs[j]
-            fx = y @ c
-            g_sup = np.conj(y) * fx / max(abs(fx) ** 2, 1e-300)
-            g_q = (Vq.conj().T @ (gq * np.maximum(np.abs(qv), 1e-300) ** (q - 2.0) * qv)) / max(sq, 1e-300)
-            g = g_sup - g_q
-            moved = False
-            while step > 1e-14:
-                cand = c + step * g
-                cand = cand / np.linalg.norm(cand)
-                s_v, jj, qv2, sq2 = ratio_parts(cand)
-                f2 = math.log(max(s_v, 1e-300)) - math.log(max(sq2, 1e-300)) / q
-                if f2 > fval + 1e-15:
-                    c, fval, j, qv, sq = cand, f2, jj, qv2, sq2
-                    step *= 1.5
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        f = CoefficientVector(space, c)
-        ratio = sup_argmax(f)[0] / max(norm_p(f, q), 1e-300)
-        if ratio > best:
-            best, best_c = ratio, c
-    return best, best_c, Vs.shape[0]
-
-
 def nikolskii_constant(space: Subspace, q) -> NikolskiiEstimate:
     """Constant of the inequality ``sup |f| <= M ||f||_q`` over the space.
 
     For q = 2 the constant is an exact identity obtained from the
     orthonormalized Christoffel sum (the pointwise Cauchy-Schwarz bound is
     attained by the kernel at the maximizing point). Other exponents are
-    heuristic lower estimates from local ascent.
+    heuristic lower estimates: :func:`_optim.extremize_ratio` maximizes a
+    smoothed ratio, the ``SMOOTH_SUP_P`` power mean on :func:`sup_argmax`'s
+    grid over ``||f||_q``, and M is the true ratio
+    ``sup_argmax(f) / norm_p(f, q)`` at the element it returns.
     """
     if q < 1 or q == math.inf:
         raise InvalidExponentError("Nikolskii exponent must satisfy 1 <= q < inf")
@@ -457,5 +409,16 @@ def nikolskii_constant(space: Subspace, q) -> NikolskiiEstimate:
         t = christoffel_sup(space)
         M = t * math.sqrt(n)
         return NikolskiiEstimate(q, M, M / n ** 0.5, "analytic", 0)
-    M, _, grid_size = _nikolskii_search(space, float(q))
-    return NikolskiiEstimate(q, M, M / n ** (1.0 / q), "grid-search", grid_size)
+    orthonormal_transform(space)  # rejects rank-deficient bases up front
+    Vq, gq = power_rule(space, q)
+    Vs = space.basis_values(space.grid(_sup_sizes(space)))
+    # the conjugated-peak start is the exact extremizer for flat systems; the
+    # peak is at the grid's first point (the torus origin, or point 0)
+    starts = [np.conj(Vs[0]), np.ones(n, dtype=complex)]
+    _, c, _ = _optim.extremize_ratio(Vs, np.full(Vs.shape[0], 1.0 / Vs.shape[0]), Vq, gq,
+                                     _optim.SMOOTH_SUP_P, restarts=6, maximize=True,
+                                     seed=(101, n, int(round(q * 1000))), extra_starts=starts,
+                                     den_p=q)
+    f = CoefficientVector(space, c)
+    M = sup_argmax(f)[0] / max(norm_p(f, q), 1e-300)
+    return NikolskiiEstimate(q, M, M / n ** (1.0 / q), "grid-search", Vs.shape[0])

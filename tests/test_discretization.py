@@ -200,6 +200,8 @@ def test_brute_force_exact_case():
     cert = brute_force_certificate(sp, generate_points(sp, "equispaced", 5), 4)
     assert cert.c1_pow == pytest.approx(1.0, abs=1e-3)
     assert cert.c2_pow == pytest.approx(1.0, abs=1e-3)
+    # enumeration only bounds the extremes: min >= C1 and max <= C2
+    assert cert.status == "heuristic-upper-C1"
 
 
 def test_brute_force_single_exponential():
@@ -207,6 +209,8 @@ def test_brute_force_single_exponential():
     cert = brute_force_certificate(sp, PointSet(np.array([[1.1]])), 2)
     assert cert.c1_pow == pytest.approx(1.0, abs=1e-9)
     assert cert.c2_pow == pytest.approx(1.0, abs=1e-9)
+    # N = 1 has a single ratio, so it is exact
+    assert cert.status == "certified"
 
 
 def test_brute_force_labels_weighted_sample():

@@ -330,6 +330,18 @@ def test_tensor_nikolskii_q4_bounded_by_product():
     assert mt <= m1 * m2 * (1 + 1e-6)
 
 
+def test_nikolskii_q4_two_term_spaces_exact():
+    # f = a e_k + b e_l with |a|^2 + |b|^2 = 1 and u = |ab| has
+    # (sup |f| / ||f||_4)^4 = (1 + 2u)^2 / (1 + 2u^2), increasing up to u = 1/2
+    exact = (8 / 3) ** 0.25
+    spectra = [[[k], [l]] for k in range(-4, 5) for l in range(k + 1, 5)]
+    spectra += [[[0, 0], [1, 1]], [[1, 0], [0, 2]]]
+    for spectrum in spectra:
+        est = nikolskii_constant(make_trig_space(len(spectrum[0]), spectrum), 4)
+        assert est.method == "grid-search"
+        assert est.M == pytest.approx(exact, rel=1e-12), spectrum
+
+
 def test_nikolskii_grid_search_lower_bounds_hold():
     # spaces containing the constants give M >= 1, i.e. B >= N**(-1/q)
     sp = full_trig_space(1)

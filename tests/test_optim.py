@@ -121,12 +121,35 @@ CASES = ("lacunary-min", "p3", "sup", "lacunary-max")
 @pytest.mark.parametrize("name", CASES)
 def test_stacked_halving_matches_sequential_loop(name):
     args, kw = _case(name)
-    ratio, c, report = _optim.extremize_ratio(*args, **kw)
     ref_ratio, ref_c, ref_report = sequential_extremize_ratio(*args, **kw)
-    assert ratio == ref_ratio
-    assert np.array_equal(c, ref_c)
-    assert {k: v for k, v in report.items() if k != "evaluations"} == \
-        {k: v for k, v in ref_report.items() if k != "evaluations"}
+    # a denominator exponent equal to p must not move a bit either
+    for extra in ({}, {"den_p": args[4]}):
+        ratio, c, report = _optim.extremize_ratio(*args, **kw, **extra)
+        assert ratio == ref_ratio
+        assert np.array_equal(c, ref_c)
+        assert {k: v for k, v in report.items() if k != "evaluations"} == \
+            {k: v for k, v in ref_report.items() if k != "evaluations"}
+
+
+@pytest.mark.parametrize("p,q", [(64.0, 3.0), (64.0, 1.5), (4.0, 2.0), (3.0, 5.0)])
+def test_denominator_exponent_ratio_is_recomputable(p, q):
+    # the returned ratio is sum w |A c|^p / (sum gamma |B c|^q)^(p/q) at the
+    # returned c, recomputed here without the optimizer's helpers, and it is
+    # at least as extreme as that ratio over 4,000 random directions
+    space = make_trig_space(1, [[0], [1], [3]])
+    sample = generate_points(space, "iid", 9, seed=31)
+    A = space.basis_values(sample.points)
+    w = np.full(9, 1.0 / 9)
+    B, gamma = norms.power_rule(space, q)
+    C = np.random.default_rng(5).standard_normal((4_000, 3, 2)) @ np.array([1.0, 1j])
+    sampled = ((np.abs(C @ A.T) ** p) @ w) / ((np.abs(C @ B.T) ** q) @ gamma) ** (p / q)
+    for maximize in (False, True):
+        ratio, c, _ = _optim.extremize_ratio(A, w, B, gamma, p, restarts=8, maximize=maximize,
+                                             den_p=q)
+        num = sum(wj * abs(np.dot(row, c)) ** p for wj, row in zip(w, A))
+        den = sum(gj * abs(np.dot(row, c)) ** q for gj, row in zip(gamma, B))
+        assert ratio == pytest.approx(num / den ** (p / q), rel=1e-10)
+        assert ratio >= sampled.max() if maximize else ratio <= sampled.min()
 
 
 @pytest.mark.parametrize("name", CASES)
