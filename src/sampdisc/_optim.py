@@ -12,9 +12,11 @@ those sets exactly. Ties between equally good optima are broken by the
 lowest restart index.
 
 ``minimize_residual`` minimizes the weighted p-th power sum of a residual
-for finite p, and ``lawson`` is the discrete minimax fit (Lawson's
-reweighting) for p = inf. Best approximation runs them on a quadrature
-grid and recovery on the samples.
+for finite p by IRLS with step halving, and ``lawson`` is the discrete
+minimax fit (Lawson's reweighting) for p = inf. Both solve every reweighted
+least-squares problem of a call with one thin QR of the weighted basis.
+Best approximation runs them on a quadrature grid and recovery on the
+samples.
 """
 
 from __future__ import annotations
@@ -133,12 +135,22 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=Fal
     return float(ratios[best]), C[best], report
 
 
-def weighted_lstsq(U, y, w):
-    """Minimizer of ``sum w |y - U c|^2`` (minimum-norm if rank-deficient)
-    and the rank of the weighted system."""
+def _weighted_solver(U, y, w):
+    """``solve(s)``: a minimizer of ``sum s w |y - U c|^2`` and the rank of U,
+    from one thin QR ``sqrt(w) U = Q R``: ``(Q^H S Q) d = Q^H S sqrt(w) y``,
+    then ``R c = d``, both by least squares (minimum-norm if U is singular)."""
     sw = np.sqrt(w)
-    c, _, rank, _ = np.linalg.lstsq(U * sw[:, None], y * sw, rcond=None)
-    return c, rank
+    Q, R = np.linalg.qr(U * sw[:, None])
+    b = sw * y
+
+    def solve(s):
+        QhS = np.conj(Q)
+        QhS *= s[:, None]
+        d = np.linalg.lstsq(QhS.T @ Q, QhS.T @ b, rcond=None)[0]
+        c, _, rank, _ = np.linalg.lstsq(R, d, rcond=None)
+        return c, int(rank)
+
+    return solve
 
 
 def lawson(U, y, w):
@@ -151,18 +163,19 @@ def lawson(U, y, w):
     the relative error by ``minimax_rel``.
 
     Returns ``(c, max_residual, report)`` for the best iterate; the report
-    holds ``iterations`` and ``lower_bound``. With the step's weights
-    scaled to sum 1, its root weighted mean square residual is the least
-    over all c, hence at most any c's maximum residual; ``lower_bound`` is
-    the largest such value over the steps.
+    holds ``iterations``, ``rank`` (of U) and ``lower_bound``. With the
+    step's weights scaled to sum 1, its root weighted mean square residual
+    is the least over all c, hence at most any c's maximum residual;
+    ``lower_bound`` is the largest such value over the steps.
     """
     rel = tolerances.get("minimax_rel")
-    omega = np.asarray(w, dtype=float)
+    solve = _weighted_solver(U, y, w)
+    omega = w
     best_val, best_c = math.inf, np.zeros(U.shape[1], dtype=complex)
     lower = 0.0
     history = []
     for it in range(1, 301):
-        c, _ = weighted_lstsq(U, y, omega)
+        c, rank = solve(omega / w)
         r = np.abs(y - U @ c)
         mx = float(np.max(r))
         lower = max(lower, math.sqrt(float(np.sum(omega * r * r) / np.sum(omega))))
@@ -173,72 +186,70 @@ def lawson(U, y, w):
             break
         omega = omega * (r + 1e-300)
         omega /= np.sum(omega)
-    return best_c, best_val, {"iterations": it, "lower_bound": lower}
+    return best_c, best_val, {"iterations": it, "rank": rank, "lower_bound": lower}
 
 
-def residual_gradient(Uh, w, r, p):
+def residual_gradient(U, w, r, p):
     """Gradient of ``sum w |y - U c|^p`` with respect to c in the real inner
-    product sense, from the residual ``r = y - U c`` and ``Uh``, the
-    conjugate transpose of ``U``."""
-    a = np.maximum(np.abs(r), 1e-300)
-    return -p * (Uh @ (w * a ** (p - 2.0) * r))
+    product sense, from the residual ``r = y - U c``."""
+    v = w * np.maximum(np.abs(r), 1e-300) ** (p - 2.0) * r  # the guard only meets r = 0
+    return -p * np.conj(np.conj(v) @ U)  # U^H v without a conjugate copy of U
 
 
-def _halving_step(U, w, p, c, r, obj, direction, t_min):
-    """``(c', obj', r')`` for the first ``c' = c + t * direction``, t = 1,
-    1/2, ... down to ``t_min``, whose residual ``r' = r - t U direction``
-    lowers ``sum w |r'|^p`` below ``obj``; None if none does."""
-    Ud = U @ direction
-    t = 1.0
-    while t > t_min:
-        r_t = r - t * Ud
-        val = float(np.sum(w * np.abs(r_t) ** p))
-        if val < obj - 1e-16:
-            return c + t * direction, val, r_t
-        t *= 0.5
-    return None
+_T_MIN = 1e-14  # smallest IRLS step factor tried
+_ACCEPT = 1e-15  # relative decrease of the sum that counts as a step
+_CLIP = 1e-12  # residual moduli and weights are clipped at this fraction of their largest
 
 
 def minimize_residual(U, y, w, p, c):
-    """Minimize ``sum w |y - U c|^p`` over c for finite p >= 1, starting at ``c``.
+    """Minimize ``sum w |y - U c|^p`` over c for finite p >= 1.
 
-    Damped IRLS: each step tries 1, 1/2, ... times the step to the
-    reweighted least-squares minimizer, then along the negative gradient,
-    and takes the first that lowers the sum. It stops when the gradient
-    norm is at most ``recovery_tol * max(1, starting gradient norm)``, when
-    no step lowers the sum, or after 300 steps; at p = 2 the start is the
-    exact minimizer. Reweighted problems are solved in the coordinates of
-    one thin QR ``sqrt(w) U = Q R``: ``(Q^H S Q) d = Q^H S sqrt(w) y`` with
-    ``S = omega / w``, then ``R c = d``, both by least squares so a
-    rank-deficient U still works. Trial residuals along a direction are
-    updated, not recomputed from ``y``.
+    IRLS with step halving from ``c``, or from the p = 2 minimizer, which
+    is exact at p = 2, when ``c`` is None. Each step solves the reweighted
+    least-squares problem with the QR of ``_weighted_solver``, residual
+    moduli and weights clipped below relative to their largest, then takes
+    the first of t0, t0/2, ... times the step to its minimizer that lowers
+    the sum by more than ``_ACCEPT`` relative. For real residuals the sum's
+    Hessian is ``p (p - 1)`` times the IRLS matrix, so ``t0 = 1 / (p - 1)``
+    is the Newton step; it is capped at 2, as the sum is not smooth at zero
+    residuals for p near 1. The solve stops when the gradient norm is at
+    most ``recovery_tol`` times the starting one (``gradient``; at once at
+    p = 2), when no step lowers the sum (``no-step``) or after 300 steps
+    (``cap``). Every rule is relative, so scaling y scales c.
 
-    Returns ``(c, sum, report)``; the report holds ``iterations`` and
-    ``final_grad_norm``.
+    Returns ``(c, sum, report)``; the report holds ``iterations``,
+    ``final_grad_norm``, ``stop`` and, if the start was computed here,
+    ``rank`` (of U).
     """
-    Uh = U.conj().T
-    sw = np.sqrt(w)
-    Q, R = np.linalg.qr(U * sw[:, None])
-    Qh = Q.conj().T
-    b = sw * y
-    tol = tolerances.get("recovery_tol")
+    solve = _weighted_solver(U, y, w)
+    report = {}
+    if c is None:
+        c, report["rank"] = solve(np.ones_like(w))
     r = y - U @ c
-    g = residual_gradient(Uh, w, r, p)
-    scale = max(1.0, float(np.linalg.norm(g)))
     obj = float(np.sum(w * np.abs(r) ** p))
+    g = residual_gradient(U, w, r, p)
+    g_stop = tolerances.get("recovery_tol") * float(np.linalg.norm(g))
+    stop = "cap"
     for iterations in range(1, 301):
-        if p == 2 or float(np.linalg.norm(g)) <= tol * scale:
+        if p == 2 or float(np.linalg.norm(g)) <= g_stop:
+            stop = "gradient"
             break
-        # IRLS proposal; residual moduli and weights clipped below to keep
-        # the reweighted system finite near exact fits
-        a = np.maximum(np.abs(r), 1e-12)
-        s = np.maximum(w * a ** (p - 2.0), 1e-12) / w
-        d = np.linalg.lstsq((Qh * s) @ Q, Qh @ (s * b), rcond=None)[0]
-        c_prop = np.linalg.lstsq(R, d, rcond=None)[0]
-        moved = (_halving_step(U, w, p, c, r, obj, c_prop - c, 1e-14)
-                 or _halving_step(U, w, p, c, r, obj, -g, 1e-16))
-        if moved is None:
+        a = np.abs(r)
+        a = np.maximum(a, _CLIP * np.max(a))
+        omega = w * a ** (p - 2.0)
+        direction = solve(np.maximum(omega, _CLIP * np.max(omega)) / w)[0] - c
+        Ud = U @ direction
+        t = 1.0 / max(p - 1.0, 0.5)
+        while t > _T_MIN:
+            r_t = r - t * Ud
+            val = float(np.sum(w * np.abs(r_t) ** p))
+            if val < obj * (1.0 - _ACCEPT):
+                break
+            t *= 0.5
+        else:
+            stop = "no-step"
             break
-        c, obj, r = moved
-        g = residual_gradient(Uh, w, r, p)
-    return c, obj, {"iterations": iterations, "final_grad_norm": float(np.linalg.norm(g))}
+        c, obj, r = c + t * direction, val, r_t
+        g = residual_gradient(U, w, r, p)
+    report.update(iterations=iterations, final_grad_norm=float(np.linalg.norm(g)), stop=stop)
+    return c, obj, report

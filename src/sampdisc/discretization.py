@@ -42,7 +42,7 @@ from .errors import (
     SearchFailedError,
     UnsupportedDomainError,
 )
-from .spaces import TWO_PI, CoefficientVector, Subspace, TrigSpace, torus_grid
+from .spaces import TWO_PI, CoefficientVector, Subspace, TrigSpace, product_rows, torus_grid
 
 logger = logging.getLogger(__name__)
 
@@ -190,19 +190,8 @@ def generate_points(space: Subspace, mode: str, m: int | None = None, *,
             if np.asarray(fac_pts.points).shape[1] != fac_space.domain.dim:
                 raise InvalidSampleError("factor point set does not match factor domain")
         # cartesian product, first factor varying slowest
-        grids = [np.asarray(f.points, dtype=float) for f in factors]
-        counts = [g.shape[0] for g in grids]
-        total = math.prod(counts)
-        out = np.zeros((total, sum(g.shape[1] for g in grids)))
-        rep = total
-        col = 0
-        for g in grids:
-            rep //= g.shape[0]
-            tile = total // (rep * g.shape[0])
-            block = np.repeat(g, rep, axis=0)
-            out[:, col:col + g.shape[1]] = np.tile(block, (tile, 1))
-            col += g.shape[1]
-        prov = {"mode": "tensor", "factor_sizes": counts,
+        out = product_rows([np.asarray(f.points, dtype=float) for f in factors])
+        prov = {"mode": "tensor", "factor_sizes": [f.m for f in factors],
                 "factor_provenance": [f.provenance for f in factors]}
         return PointSet(out, prov, factors=factors)
 
@@ -255,9 +244,7 @@ def _quadrature_defect(space: TrigSpace, sample: PointSet, degree_mult: int) -> 
     count = math.prod(2 * g + 1 for g in degs)
     if count > 2_000_000:
         return None
-    axes = [np.arange(-g, g + 1) for g in degs]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    K = np.stack([mm.ravel() for mm in mesh], axis=-1)
+    K = product_rows([np.arange(-g, g + 1)[:, None] for g in degs])
     w, _ = _sample_weights(sample)
     E = np.exp(1j * (np.asarray(sample.points) @ K.T))
     moments = w @ E
@@ -328,8 +315,7 @@ def certify(space: Subspace, sample: PointSet, p, budget: int = 64) -> Certifica
     """
     if sample.m < 1:
         raise InvalidSampleError("empty sample")
-    if p != math.inf and p < 1:
-        raise InvalidExponentError("discretization exponent must satisfy p >= 1")
+    norms.checked_exponent(p)
     weights, weighted = _sample_weights(sample)
     if p == math.inf:
         return _sup_certificate(space, sample, budget)
@@ -390,8 +376,7 @@ def brute_force_certificate(space: Subspace, sample: PointSet, p,
     bounds C1 from above, the maximum C2 from below), except at N = 1,
     whose single ratio is exact and ``certified``.
     """
-    if p == math.inf or p < 1:
-        raise InvalidExponentError("the oracle needs a finite exponent p >= 1")
+    norms.checked_exponent(p, finite=True)
     n = space.dim
     if n > 3:
         raise OracleTooLargeError("brute-force oracle supports N <= 3 only")
@@ -452,8 +437,10 @@ class TwoStageBudget:
     retries: int = 50
 
 
-def two_stage_subsample(space: Subspace, q, eps: float, budgets: TwoStageBudget,
-                        seed, certify_budget: int = 32):
+_TWO_STAGE_BUDGET = 32  # restarts of each heuristic two-stage certificate
+
+
+def two_stage_subsample(space: Subspace, q, eps: float, budgets: TwoStageBudget, seed):
     """Draw a large iid set, then search for a small certified subset.
 
     Stage 1 draws ``stage1_s`` iid points and certifies them against the
@@ -470,7 +457,7 @@ def two_stage_subsample(space: Subspace, q, eps: float, budgets: TwoStageBudget,
     if budgets.stage1_s < 1 or budgets.stage2_m < 1 or budgets.stage2_m > budgets.stage1_s:
         raise InvalidSampleError("need 1 <= stage2_m <= stage1_s")
     stage1 = generate_points(space, "iid", budgets.stage1_s, seed=(seed, 0x51))
-    cert1 = certify(space, stage1, q, budget=certify_budget)
+    cert1 = certify(space, stage1, q, budget=_TWO_STAGE_BUDGET)
     logger.info("two-stage stage1: S=%d c1=%.4f c2=%.4f", stage1.m, cert1.c1_pow, cert1.c2_pow)
     if budgets.stage2_m == budgets.stage1_s:
         return stage1, cert1
@@ -483,7 +470,7 @@ def two_stage_subsample(space: Subspace, q, eps: float, budgets: TwoStageBudget,
         subset = PointSet(np.asarray(stage1.points)[np.sort(idx)],
                           {"mode": "subsample", "parent": stage1.provenance,
                            "retry": attempt, "stage1_certificate": cert1.to_dict()})
-        cert = certify(space, subset, q, budget=certify_budget)
+        cert = certify(space, subset, q, budget=_TWO_STAGE_BUDGET)
         logger.debug("two-stage attempt %d: c1=%.4f c2=%.4f", attempt, cert.c1_pow, cert.c2_pow)
         if cert.meets(eps):
             return subset, cert

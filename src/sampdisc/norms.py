@@ -167,10 +167,9 @@ def norm_p(f: CoefficientVector, p) -> float:
     Exact for finite domains and for even integer p on the torus;
     otherwise computed by dyadic grid refinement.
     """
+    checked_exponent(p)
     if p == math.inf:
         return norm_sup(f)
-    if p < 1:
-        raise InvalidExponentError("norm exponent must satisfy p >= 1")
     space = f.space
     if _is_even_integer(p):
         return _power_mean(evaluate(f, space.grid(_even_sizes(space, int(p)))), p)
@@ -184,8 +183,7 @@ def handle_norm_p(handle, space: Subspace, p) -> float:
     Used when the integrand is not an element of a known subspace (e.g.
     a recovery residual); refines dyadically like :func:`norm_p`.
     """
-    if p < 1:
-        raise InvalidExponentError("norm exponent must satisfy p >= 1")
+    checked_exponent(p, finite=True)
     return _refined_norm(lambda x: call_target(handle, x), space,
                          [max(4 * deg + 1, 64) for deg in space.degrees], p)
 
@@ -271,6 +269,13 @@ def checked_weights(weights, count: int, of: str) -> np.ndarray:
     return w
 
 
+def checked_exponent(p, finite=False) -> None:
+    """Raise InvalidExponentError unless ``1 <= p <= inf``, with ``p < inf``
+    when ``finite``; NaN fails too."""
+    if not p >= 1 or (finite and p == math.inf):
+        raise InvalidExponentError(f"exponent must be >= 1{' and finite' if finite else ''}, got {p!r}")
+
+
 def discrete_norm(s, p, weights=None) -> float:
     """Weighted discrete p-norm of a sample vector.
 
@@ -278,14 +283,13 @@ def discrete_norm(s, p, weights=None) -> float:
     maximum of moduli and rejects explicit weights, which have no
     counterpart in the sup case.
     """
+    checked_exponent(p)
     vals = np.asarray(getattr(s, "values", s), dtype=complex).reshape(-1)
     m = vals.shape[0]
     if p == math.inf:
         if weights is not None:
             raise UnsupportedNormError("the weighted sup norm is undefined; drop the weights for p=inf")
         return float(np.max(np.abs(vals)))
-    if p < 1:
-        raise InvalidExponentError("norm exponent must satisfy p >= 1")
     w = np.full(m, 1.0 / m) if weights is None else checked_weights(weights, m, "values")
     return float(np.sum(w * np.abs(vals) ** p) ** (1.0 / p))
 
@@ -338,10 +342,10 @@ def best_approx(target, space: Subspace, p):
     when its maximum residual stalls and is not held to a stated relative
     accuracy. Other exponents run :func:`_optim.minimize_residual`, the
     solver of :func:`recovery.lpw_recover`, on the L2 projection's grid
-    from the projection, to the ``recovery_tol`` first-order tolerance.
+    from the projection, until its gradient norm falls to ``recovery_tol``
+    times the projection's or no step lowers the sum.
     """
-    if p != math.inf and p < 1:
-        raise InvalidExponentError("norm exponent must satisfy p >= 1")
+    checked_exponent(p)
     if p == math.inf:
         grid, gamma, t = _approx_grid(target, space, 512 if len(space.degrees) == 1 else 128)
         c, dist, _ = _optim.lawson(space.basis_values(grid), t, gamma)
@@ -402,8 +406,7 @@ def nikolskii_constant(space: Subspace, q) -> NikolskiiEstimate:
     grid over ``||f||_q``, and M is the true ratio
     ``sup_argmax(f) / norm_p(f, q)`` at the element it returns.
     """
-    if q < 1 or q == math.inf:
-        raise InvalidExponentError("Nikolskii exponent must satisfy 1 <= q < inf")
+    checked_exponent(q, finite=True)
     n = space.dim
     if q == 2:
         t = christoffel_sup(space)

@@ -1,11 +1,10 @@
 """Weighted least-squares-type recovery from samples and its error bound.
 
 The recovery operator returns the element of the subspace minimizing the
-weighted discrete p-norm of the sample residual. At p = 2 this is plain
-weighted least squares and exact; other finite exponents run the residual
-solver of best approximation, ``_optim.minimize_residual`` (IRLS with a
-gradient fallback), from the p = 2 solution, so the result is
-deterministic; p = inf runs Lawson's minimax fit.
+weighted discrete p-norm of the sample residual. Finite exponents run the
+residual solver of best approximation, ``_optim.minimize_residual`` (IRLS
+with step halving), from the p = 2 solution, which is exact at p = 2, so
+the result is deterministic; p = inf runs Lawson's minimax fit.
 
 The error bound engine converts a certified discretization certificate
 into the constant ``2 * C1^(-1) * C2^(1/p) + 1`` multiplying the
@@ -30,8 +29,8 @@ from .errors import (
     InvalidWeightError,
     UnboundedBoundError,
 )
-from .norms import (SampleVector, best_approx, call_target, checked_weights, handle_norm_p,
-                    sample_function)
+from .norms import (SampleVector, best_approx, call_target, checked_exponent, checked_weights,
+                    handle_norm_p, sample_function)
 from .spaces import CoefficientVector, Subspace, evaluate
 
 __all__ = [
@@ -102,34 +101,26 @@ class RecoveryBoundReport:
 def lpw_recover(samples: SampleVector, space: Subspace, p, weights) -> RecoveryResult:
     """Minimize the weighted discrete p-norm of the sample residual.
 
-    p = 2 solves the weighted normal equations through an orthogonal
-    factorization; rank-deficient systems return the minimum-norm
-    solution with the ``degenerate`` flag set. Other finite p run
-    :func:`_optim.minimize_residual`, the solver :func:`best_approx` runs
-    on its grid, from the p = 2 solution; its report holds ``iterations``
-    and ``final_grad_norm``. p = inf runs :func:`_optim.lawson` on the
-    samples from the given weights (advisory; see the bound's p = inf
-    caveats); its report carries Lawson's ``lower_bound`` on the minimax
-    residual.
+    Finite p runs :func:`_optim.minimize_residual`, the solver
+    :func:`best_approx` runs on its grid, and p = inf runs
+    :func:`_optim.lawson` (advisory; see the bound's p = inf caveats), both
+    from the given weights. The report is the solver's, with the ``rank``
+    of the weighted system; a rank-deficient system returns the
+    minimum-norm solution with the ``degenerate`` flag set.
     """
     if samples.source is None:
         raise InvalidSampleError("sample vector must reference its point set")
-    if p != math.inf and p < 1:
-        raise InvalidExponentError("recovery exponent must satisfy p >= 1")
+    checked_exponent(p)
     y = samples.values
-    m = y.shape[0]
-    w = checked_weights(weights, m, "samples")
+    w = checked_weights(weights, y.shape[0], "samples")
     U = space.basis_values(samples.source.points)
-
-    c, rank = _optim.weighted_lstsq(U, y, w)
-    degenerate = rank < space.dim
     if p == math.inf:
         c, resid, report = _optim.lawson(U, y, w)
-        report["final_grad_norm"] = math.nan
-        return RecoveryResult(CoefficientVector(space, c), resid, p, w, report, degenerate)
-
-    c, total, report = _optim.minimize_residual(U, y, w, p, c)
-    return RecoveryResult(CoefficientVector(space, c), total ** (1.0 / p), p, w, report, degenerate)
+    else:
+        c, total, report = _optim.minimize_residual(U, y, w, p, None)
+        resid = total ** (1.0 / p)
+    return RecoveryResult(CoefficientVector(space, c), resid, p, w, report,
+                          degenerate=report["rank"] < space.dim)
 
 
 def recovery_bound(cert: Certificate, weights, p) -> float:
@@ -141,6 +132,7 @@ def recovery_bound(cert: Certificate, weights, p) -> float:
     form is only accepted together with uniform weights, since its bounds
     say nothing about other weightings.
     """
+    checked_exponent(p)
     if cert.status != "certified":
         raise HeuristicCertificateError(
             "recovery bounds need a certified certificate; a heuristic upper "
@@ -165,7 +157,7 @@ def recovery_bound(cert: Certificate, weights, p) -> float:
 
 
 def verify_recovery(f, space: Subspace, sample: PointSet, p,
-                    certify_budget: int = 64, allow_heuristic: bool = False) -> RecoveryBoundReport:
+                    allow_heuristic: bool = False) -> RecoveryBoundReport:
     """Recover ``f`` from its samples and check the certified error bound.
 
     The left side is the measured L_p error of the recovery; the right
@@ -175,7 +167,7 @@ def verify_recovery(f, space: Subspace, sample: PointSet, p,
     ``allow_heuristic`` the p = inf branch accepts a heuristic constant
     and marks the report advisory.
     """
-    cert = certify(space, sample, p, budget=certify_budget)
+    cert = certify(space, sample, p, budget=64)
     w, _ = _sample_weights(sample)
     advisory = cert.status != "certified" and allow_heuristic and p == math.inf
     if advisory:

@@ -384,18 +384,20 @@ def tensor_product(factors) -> TrigSpace:
     for f in factors:
         if not isinstance(f, TrigSpace):
             raise UnsupportedDomainError("tensor products are supported for torus spaces only")
-    freq_rows = [()]
-    for f in factors:
-        rows = [tuple(int(v) for v in row) for row in f.spectrum.frequencies]
-        freq_rows = [head + row for head in freq_rows for row in rows]
-    return TrigSpace(Spectrum(freq_rows), factors=factors)
+    return TrigSpace(Spectrum(product_rows([f.spectrum.frequencies for f in factors])),
+                     factors=factors)
+
+
+def product_rows(blocks) -> np.ndarray:
+    """Rows of the cartesian product of 2-D row blocks, first block slowest:
+    every row is one row of each block, side by side."""
+    idx = np.indices([b.shape[0] for b in blocks]).reshape(len(blocks), -1)
+    return np.concatenate([b[i] for b, i in zip(blocks, idx)], axis=1)
 
 
 def torus_grid(sizes) -> np.ndarray:
     """Equispaced product grid on the torus, shape (prod(sizes), d)."""
-    axes = [np.arange(n) * (TWO_PI / n) for n in sizes]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return product_rows([(np.arange(n) * (TWO_PI / n))[:, None] for n in sizes])
 
 
 def evaluate(f: CoefficientVector, points) -> np.ndarray:

@@ -6,16 +6,22 @@ import numpy as np
 import pytest
 
 from sampdisc import (
+    Certificate,
     CoefficientVector,
     DiscreteSpace,
     best_approx,
+    brute_force_certificate,
+    certify,
     christoffel_sup,
     discrete_norm,
+    generate_points,
     make_lacunary_space,
     make_trig_space,
     nikolskii_constant,
     norm_p,
     norm_sup,
+    recovery_bound,
+    sample_function,
     tensor_product,
 )
 from sampdisc import _optim
@@ -26,7 +32,7 @@ from sampdisc.errors import (
     UnsupportedNormError,
 )
 from sampdisc.discretization import PointSet, WeightedPointSet
-from sampdisc.norms import SampleVector, torus_grid
+from sampdisc.norms import SampleVector, handle_norm_p, torus_grid
 from sampdisc.recovery import lpw_recover
 
 TWO_PI = 2 * math.pi
@@ -88,6 +94,34 @@ def test_norm_p_rejects_small_exponent():
     sp = full_trig_space(1)
     with pytest.raises(InvalidExponentError):
         norm_p(CoefficientVector(sp, [1, 0, 1]), 0.5)
+
+
+def _exponent_entry_points():
+    sp = full_trig_space(1)
+    pts = generate_points(sp, "equispaced", 5)
+    w = np.full(5, 0.2)
+    return {
+        "certify": lambda p: certify(sp, pts, p),
+        "norm_p": lambda p: norm_p(CoefficientVector(sp, [1, 0, 1]), p),
+        "handle_norm_p": lambda p: handle_norm_p(np.cos, sp, p),
+        "discrete_norm": lambda p: discrete_norm(np.ones(3), p),
+        "best_approx": lambda p: best_approx(np.cos, sp, p),
+        "lpw_recover": lambda p: lpw_recover(sample_function(np.cos, pts), sp, p, w),
+        "brute_force_certificate": lambda p: brute_force_certificate(sp, pts, p),
+        "nikolskii_constant": lambda p: nikolskii_constant(sp, p),
+        "recovery_bound": lambda p: recovery_bound(
+            Certificate(p, 1.0, 1.0, "exact-eigen", "certified"), w, p),
+    }
+
+
+@pytest.mark.parametrize("p", [math.nan, 0.5])
+@pytest.mark.parametrize("entry", sorted(_exponent_entry_points()))
+def test_entry_points_reject_bad_exponent(entry, p, capfd):
+    # a typed error before any numerics: no raw ValueError, no nan result,
+    # no LAPACK message on stderr
+    with pytest.raises(InvalidExponentError):
+        _exponent_entry_points()[entry](p)
+    assert capfd.readouterr().err == ""
 
 
 def test_norm_p_finite_domain_exact():
@@ -243,7 +277,7 @@ def test_pnorm_objective_gradient_matches_finite_differences(p):
     h = 1e-6
     for _ in range(10):
         c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        g = _optim.residual_gradient(V.conj().T, gamma, t - V @ c, p)
+        g = _optim.residual_gradient(V, gamma, t - V @ c, p)
         for i in range(3):
             e = np.zeros(3, dtype=complex)
             e[i] = h

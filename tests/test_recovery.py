@@ -27,6 +27,7 @@ from sampdisc.errors import (
     InvalidWeightError,
     UnboundedBoundError,
 )
+from sampdisc import recovery
 from sampdisc.norms import torus_grid
 
 TWO_PI = 2 * math.pi
@@ -180,6 +181,47 @@ def test_finite_p_recovery_matches_best_approx_on_its_grid(p):
     res = lpw_recover(sample_function(target, grid), sp, p, uniform(2048))
     _, dist = best_approx(target, sp, p)
     assert res.discrete_residual == pytest.approx(dist, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("p", [1.5, 3, 4])
+def test_finite_p_recovery_is_scale_equivariant(p):
+    # every stopping and clipping rule of the solver is relative, so scaling
+    # the data scales the fit; an absolute stopping scale returned the p = 2
+    # start for small data and stopped early for large data
+    sp = full_trig_space(8)
+    pts = generate_points(sp, "iid", 120, seed=1)
+    y = np.maximum(np.cos(pts.points[:, 0]), 0.0) ** 2
+    ref = lpw_recover(SampleVector(y, pts), sp, p, uniform(120))
+    c_ref = ref.coefficients.coefficients
+    for a in (1e-3, 1.0, 1e3):
+        res = lpw_recover(SampleVector(a * y, pts), sp, p, uniform(120))
+        c = res.coefficients.coefficients
+        assert np.max(np.abs(c - a * c_ref)) <= 1e-8 * a * np.max(np.abs(c_ref))
+        assert res.discrete_residual == pytest.approx(a * ref.discrete_residual, rel=1e-8, abs=0)
+
+
+def test_verify_recovery_p4_fit_ends_on_gradient_test(monkeypatch):
+    # 33 equispaced nodes on the degree-8 space: the p = 4 fit of |sin x|^3
+    # starts with a gradient norm of about 2e-9 and must still be minimized,
+    # not returned as the p = 2 start, which lies 9 % above the minimum
+    sp = full_trig_space(8)
+    pts = generate_points(sp, "equispaced", 33)
+    f = lambda x: np.abs(np.sin(x)) ** 3  # noqa: E731
+    fits = []
+
+    def recording(*args):
+        fits.append(lpw_recover(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(recovery, "lpw_recover", recording)
+    assert verify_recovery(f, sp, pts, 4).holds
+    (fit,) = fits
+    assert fit.optimizer_report["stop"] == "gradient"
+    samples = sample_function(f, pts)
+    start = lpw_recover(samples, sp, 2, uniform(33)).coefficients.coefficients
+    U = sp.basis_values(pts.points)
+    start_residual = float(np.mean(np.abs(samples.values - U @ start) ** 4)) ** 0.25
+    assert fit.discrete_residual <= 0.95 * start_residual
 
 
 def test_p4_deterministic():
