@@ -7,14 +7,14 @@ space:
     c1 * ||f||_p^p  <=  sum_j w_j |f(xi_j)|^p  <=  c2 * ||f||_p^p
 
 with ``w_j = 1/m`` for unweighted point sets. At p = 2 the constants are
-the extreme eigenvalues of the sampled frame matrix and exact. For even
-integer p the certificate is exact whenever the sample integrates all
-trigonometric polynomials up to degree ``p * degree``; this is verified
-numerically from the aliasing moments rather than assumed from
-provenance. All other exponents fall back to randomized-restart
-optimization and are labeled heuristic: the minimum found is only an
-upper bound on the true lower constant, the maximum a lower bound on the
-upper one.
+exact: the extreme eigenvalues of the sampled Gram matrix in a basis
+orthonormalized by :func:`norms.orthonormal_transform`. For even integer p
+the certificate is exact whenever the sample integrates all trigonometric
+polynomials up to degree ``p * degree``; this is verified numerically from
+the aliasing moments rather than assumed from provenance. All other
+exponents fall back to randomized-restart optimization and are labeled
+heuristic: the minimum found is only an upper bound on the true lower
+constant, the maximum a lower bound on the upper one.
 
 Good point sets are not constructed directly; they are found. The
 module draws random candidates, certifies them a posteriori, and
@@ -255,14 +255,10 @@ def _quadrature_defect(space: TrigSpace, sample: PointSet, degree_mult: int) -> 
 def _exact_eigen_certificate(space: Subspace, sample: PointSet, weights, weighted) -> Certificate:
     U = space.basis_values(sample.points)
     A = U.conj().T @ (weights[:, None] * U)
-    if isinstance(space, TrigSpace):
-        lam = np.linalg.eigvalsh(A)
-    else:
-        B = space.coef_gram()
-        L = np.linalg.cholesky(B)
-        X = np.linalg.solve(L, A)
-        Y = np.linalg.solve(L, X.conj().T).conj().T
-        lam = np.linalg.eigvalsh(Y)
+    if not isinstance(space, TrigSpace):  # the torus basis is already orthonormal
+        T = norms.orthonormal_transform(space)
+        A = T.conj().T @ A @ T
+    lam = np.linalg.eigvalsh(A)
     c1 = max(float(lam[0]), 0.0)
     c2 = float(lam[-1])
     return Certificate(2.0, c1, c2, "exact-eigen", "certified",
@@ -321,7 +317,7 @@ def certify(space: Subspace, sample: PointSet, p, budget: int = 64) -> Certifica
         return _sup_certificate(space, sample, budget)
     if p == 2:
         return _exact_eigen_certificate(space, sample, weights, weighted)
-    if float(p) == int(p) and int(p) % 2 == 0 and isinstance(space, TrigSpace):
+    if norms._is_even_integer(p) and isinstance(space, TrigSpace):
         defect = _quadrature_defect(space, sample, int(p))
         if defect is not None and defect <= 1e-12:
             tol = defect * math.prod(2 * int(p) * d + 1 for d in space.degrees) * space.dim
@@ -335,13 +331,12 @@ def certify(space: Subspace, sample: PointSet, p, budget: int = 64) -> Certifica
 
 
 def _oracle_rule(space: Subspace, p):
-    """Independent quadrature for the oracle: plain equispaced means."""
-    if float(p) == int(p) and int(p) % 2 == 0:
-        sizes = [int(p) * deg + 1 for deg in space.degrees]
-    else:
-        per = {1: 512, 2: 64}.get(len(space.degrees), 24)
-        sizes = [max(per, 4 * deg + 1) for deg in space.degrees]
-    grid = space.grid(sizes)
+    """Quadrature for the oracle: the exact :func:`norms.power_rule` for even
+    integer p, else equispaced means on a grid of its own."""
+    if norms._is_even_integer(p):
+        return norms.power_rule(space, p)
+    per = {1: 512, 2: 64}.get(len(space.degrees), 24)
+    grid = space.grid([max(per, 4 * deg + 1) for deg in space.degrees])
     return space.basis_values(grid), np.full(grid.shape[0], 1.0 / grid.shape[0])
 
 
@@ -390,34 +385,28 @@ def brute_force_certificate(space: Subspace, sample: PointSet, p,
                            weighted=weighted)
 
     rng = np.random.default_rng((0x0AC, n, int(resolution)))
-    total = min(resolution ** (2 * n - 2), 120_000)
     lo, hi = math.inf, -math.inf
     c_lo = c_hi = None
-    for start in range(0, total, 8_192):
-        k = min(8_192, total - start)
-        C = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+
+    def sweep(center, h, k, sides):
+        # k random directions around center; keeps new extremes on the given sides
+        nonlocal lo, hi, c_lo, c_hi
+        C = center + h * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
         C /= np.linalg.norm(C, axis=1, keepdims=True)
         r = _oracle_ratios(C, U, w, V, gamma, p)
         i_lo, i_hi = int(np.argmin(r)), int(np.argmax(r))
-        if r[i_lo] < lo:
+        if "lo" in sides and r[i_lo] < lo:
             lo, c_lo = float(r[i_lo]), C[i_lo]
-        if r[i_hi] > hi:
+        if "hi" in sides and r[i_hi] > hi:
             hi, c_hi = float(r[i_hi]), C[i_hi]
+
+    total = min(resolution ** (2 * n - 2), 120_000)
+    for start in range(0, total, 8_192):
+        sweep(0.0, 1.0, min(8_192, total - start), ("lo", "hi"))
     h = 4.0 * total ** (-1.0 / (2 * n - 2))
     for _ in range(5):
-        for which in ("lo", "hi"):
-            center = c_lo if which == "lo" else c_hi
-            C = center[None, :] + h * (rng.standard_normal((8_192, n)) + 1j * rng.standard_normal((8_192, n)))
-            C /= np.linalg.norm(C, axis=1, keepdims=True)
-            r = _oracle_ratios(C, U, w, V, gamma, p)
-            if which == "lo":
-                i = int(np.argmin(r))
-                if r[i] < lo:
-                    lo, c_lo = float(r[i]), C[i]
-            else:
-                i = int(np.argmax(r))
-                if r[i] > hi:
-                    hi, c_hi = float(r[i]), C[i]
+        sweep(c_lo, h, 8_192, ("lo",))
+        sweep(c_hi, h, 8_192, ("hi",))
         h /= 4.0
     return Certificate(float(p), max(lo, 0.0), hi, "brute-force", "heuristic-upper-C1",
                        tolerance=tol, weighted=weighted)

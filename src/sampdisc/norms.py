@@ -22,6 +22,7 @@ from . import _optim, tolerances
 from .errors import (
     DegenerateSpaceError,
     InvalidExponentError,
+    InvalidSampleError,
     InvalidTargetError,
     InvalidWeightError,
     UnsupportedNormError,
@@ -94,7 +95,7 @@ def call_target(target, points) -> np.ndarray:
     if isinstance(target, CoefficientVector):
         return evaluate(target, pts)
     if not callable(target):
-        raise InvalidTargetError(f"cannot evaluate target of type {type(target).__name__}")
+        raise InvalidTargetError(f"cannot evaluate a {type(target).__name__}; lpw_recover fits sampled values")
     args = pts[:, 0] if pts.ndim == 2 and pts.shape[1] == 1 else pts
     try:
         vals = np.asarray(target(args), dtype=complex).reshape(-1)
@@ -286,6 +287,8 @@ def discrete_norm(s, p, weights=None) -> float:
     checked_exponent(p)
     vals = np.asarray(getattr(s, "values", s), dtype=complex).reshape(-1)
     m = vals.shape[0]
+    if m == 0:
+        raise InvalidSampleError("sample vector must be nonempty")
     if p == math.inf:
         if weights is not None:
             raise UnsupportedNormError("the weighted sup norm is undefined; drop the weights for p=inf")
@@ -300,33 +303,24 @@ def discrete_norm(s, p, weights=None) -> float:
 
 def _approx_grid(target, space, base_floor):
     """Grid, weights, and target values for the approximation solvers."""
-    if isinstance(target, SampleVector):
-        if target.source is None:
-            raise InvalidTargetError("sample-vector target has no source point set")
-        grid = np.asarray(target.source.points)
-        t = target.values
-    else:
-        grid = space.grid([max(64 * deg, base_floor) for deg in space.degrees])
-        t = call_target(target, grid)
-    return grid, np.full(grid.shape[0], 1.0 / grid.shape[0]), t
+    grid = space.grid([max(64 * deg, base_floor) for deg in space.degrees])
+    return grid, np.full(grid.shape[0], 1.0 / grid.shape[0]), call_target(target, grid)
 
 
 def _project_l2(target, space):
-    """Orthogonal projection via the exact Gram system; grid right-hand side.
+    """Orthogonal projection ``c = T T^H V^H (gamma t)``, T from :func:`orthonormal_transform`.
     Returns ``(c, distance, (V, gamma, t))``, the last three on the final grid."""
-    B = space.coef_gram()
+    T = orthonormal_transform(space)
     last_c = None
     floor = 256 if len(space.degrees) == 1 else 64
-    # a sample target's grid is its source, a finite domain's grid is all of it
-    fixed_grid = isinstance(target, SampleVector) or not space.degrees
     while True:
         grid, gamma, t = _approx_grid(target, space, floor)
         V = space.basis_values(grid)
-        rhs = V.conj().T @ (gamma * t)
-        c = np.linalg.solve(B, rhs)
+        c = T @ (T.conj().T @ (V.conj().T @ (gamma * t)))
         dist = float(np.sqrt(np.sum(gamma * np.abs(t - V @ c) ** 2)))
         converged = last_c is not None and np.max(np.abs(c - last_c)) <= 1e-10 and abs(dist - last_d) <= 1e-9
-        if converged or fixed_grid or grid.shape[0] * 2 > _MAX_GRID:
+        # a finite domain's grid is all of it
+        if converged or not space.degrees or grid.shape[0] * 2 > _MAX_GRID:
             return c, dist, (V, gamma, t)
         last_c, last_d = c, dist
         floor = 2 * max(floor, max(64 * deg for deg in space.degrees))
@@ -335,15 +329,16 @@ def _project_l2(target, space):
 def best_approx(target, space: Subspace, p):
     """Best approximation of ``target`` from the space in the L_p sense.
 
-    Returns ``(projection, distance)``. The distance is computed on a
-    grid and therefore approximates the true distance from below; for
-    p = 2 the projection itself is the exact orthogonal one. The p = inf
-    branch is a discrete minimax fit by :func:`_optim.lawson`, which stops
-    when its maximum residual stalls and is not held to a stated relative
-    accuracy. Other exponents run :func:`_optim.minimize_residual`, the
-    solver of :func:`recovery.lpw_recover`, on the L2 projection's grid
-    from the projection, until its gradient norm falls to ``recovery_tol``
-    times the projection's or no step lowers the sum.
+    Returns ``(projection, distance)`` for a function or CoefficientVector
+    ``target``; sampled values are fitted by :func:`recovery.lpw_recover`. The
+    distance is computed on a grid and therefore approximates the true
+    distance from below; for p = 2 the projection itself is the exact
+    orthogonal one. The p = inf branch is a discrete minimax fit by
+    :func:`_optim.lawson`, which stops when its maximum residual stalls and is
+    not held to a stated relative accuracy. Other exponents run
+    :func:`_optim.minimize_residual`, the solver of ``lpw_recover``, on the L2
+    projection's grid from the projection, until its gradient norm falls to
+    ``recovery_tol`` times the projection's or no step lowers the sum.
     """
     checked_exponent(p)
     if p == math.inf:
@@ -362,7 +357,8 @@ def best_approx(target, space: Subspace, p):
 
 
 def orthonormal_transform(space: Subspace) -> np.ndarray:
-    """Matrix T with ``basis @ T`` orthonormal in L2(mu).
+    """Matrix T with ``basis @ T`` orthonormal in L2(mu); ``T T^H`` is the
+    package's one inverse of the Gram matrix.
 
     Identity for torus exponential bases. Raises DegenerateSpaceError when
     the Gram matrix is numerically singular.

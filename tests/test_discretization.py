@@ -176,6 +176,25 @@ def test_weighted_certificate_uses_weights():
     assert cert.c2_pow == pytest.approx(float(lam[-1]), abs=1e-12)
 
 
+@pytest.mark.parametrize("seed,complex_basis,weighted",
+                         [(31, False, False), (32, True, False), (33, False, True), (34, True, True)])
+def test_discrete_space_p2_certificate_matches_generalized_eigenvalues(seed, complex_basis, weighted):
+    # independent route: the eigenvalues of B^-1 A, A the sampled and B the
+    # continuous Gram matrix, from a general (nonsymmetric) eigensolver
+    rng = np.random.default_rng(seed)
+    S, n, m = 15, 4, 9
+    vals = rng.standard_normal((S, n)) + (1j * rng.standard_normal((S, n)) if complex_basis else 0)
+    idx = np.sort(rng.choice(S, size=m, replace=False))
+    w = rng.uniform(0.5, 2.0, m) / m if weighted else np.full(m, 1.0 / m)
+    cert = certify(DiscreteSpace(vals), WeightedPointSet(idx, w) if weighted else PointSet(idx), 2)
+    A = vals[idx].conj().T @ (w[:, None] * vals[idx])
+    B = vals.conj().T @ vals / S
+    lam = np.sort(np.linalg.eigvals(np.linalg.solve(B, A)).real)
+    assert cert.weighted == weighted
+    assert cert.c1_pow == pytest.approx(lam[0], rel=1e-10, abs=0)
+    assert cert.c2_pow == pytest.approx(lam[-1], rel=1e-10, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # certification, even p and general p
 

@@ -28,6 +28,8 @@ from sampdisc import _optim
 from sampdisc.errors import (
     DegenerateSpaceError,
     InvalidExponentError,
+    InvalidSampleError,
+    InvalidTargetError,
     InvalidWeightError,
     UnsupportedNormError,
 )
@@ -181,6 +183,12 @@ def test_discrete_norm_rejects_bad_weights():
         discrete_norm(np.array([1.0, 2.0]), math.inf, weights=[0.5, 0.5])
 
 
+@pytest.mark.parametrize("p", [2, math.inf])
+def test_discrete_norm_rejects_empty_vector(p):
+    with pytest.raises(InvalidSampleError):
+        discrete_norm([], p)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("entry", ["WeightedPointSet", "discrete_norm", "lpw_recover"])
 def test_non_finite_weights_rejected(entry, bad):
@@ -234,6 +242,16 @@ def test_projection_residual_is_gram_orthogonal():
     resid = target(xs[:, 0]) - V @ proj.coefficients
     inner = V.conj().T @ resid / xs.shape[0]
     assert np.max(np.abs(inner)) <= 1e-10
+
+
+@pytest.mark.parametrize("p", [2, 3, math.inf])
+def test_best_approx_sends_sampled_values_to_lpw_recover(p):
+    # a sample is not an exact quadrature of the domain, so best_approx
+    # refuses it rather than fitting it as one
+    sp = full_trig_space(2)
+    samples = sample_function(lambda x: np.exp(np.cos(x)), generate_points(sp, "iid", 12, seed=3))
+    with pytest.raises(InvalidTargetError, match="lpw_recover"):
+        best_approx(samples, sp, p)
 
 
 def test_minimax_of_higher_cosine():
@@ -306,6 +324,17 @@ def test_christoffel_degenerate_basis():
     sp = DiscreteSpace(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(DegenerateSpaceError):
         christoffel_sup(sp)
+
+
+@pytest.mark.parametrize("call", ["certify p=2", "best_approx p=2", "best_approx p=3"])
+def test_rank_deficient_basis_is_degenerate_where_the_gram_is_inverted(call):
+    # span{(1, 2, 3)} written with two equal columns
+    sp = DiscreteSpace(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
+    with pytest.raises(DegenerateSpaceError):
+        if call == "certify p=2":
+            certify(sp, PointSet(np.array([0, 1])), 2)
+        else:
+            best_approx(lambda x: np.asarray(x, dtype=float), sp, int(call[-1]))
 
 
 @pytest.mark.parametrize("N", [3, 5, 9, 17])
