@@ -57,8 +57,12 @@ def _read(node, key, cast, default=REQUIRED, at=""):
     return default
 
 
-def _fields(node, fields, at=""):
-    """``{key: _read(...)}`` for each ``(key, cast, default)`` of ``fields``."""
+def _fields(node, fields, at="", allowed=()):
+    """``{key: _read(...)}`` for each ``(key, cast, default)`` of ``fields``;
+    any other key of ``node`` that is not ``allowed`` is an unknown field."""
+    unknown = [key for key in node if key not in allowed and all(key != f[0] for f in fields)]
+    if unknown:
+        raise ConfigError(at + str(unknown[0]), "unknown field")
     return {key: _read(node, key, cast, default, at) for key, cast, default in fields}
 
 
@@ -358,7 +362,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     """Read every field of the config's kind, then run the kind."""
     start = time.monotonic()
     kind = _read(config.data, "kind", _check(lambda v: v in KINDS, f"expected one of {KINDS}"))
-    values = _fields(config.data, FIELDS[kind])
+    values = _fields(config.data, FIELDS[kind], allowed=("kind", "out"))
     report = Report(config=config.data, seed=values["seed"])
     RUNNERS[kind](report, **values)
     report.wall_clock_s = time.monotonic() - start

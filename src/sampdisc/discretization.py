@@ -8,10 +8,10 @@ space:
 
 with ``w_j = 1/m`` for unweighted point sets. At p = 2 the constants are
 exact: the extreme eigenvalues of the sampled Gram matrix in a basis
-orthonormalized by :func:`norms.orthonormal_transform`. For even integer p
-the certificate is exact whenever the sample integrates all trigonometric
-polynomials up to degree ``p * degree``; this is verified numerically from
-the aliasing moments rather than assumed from provenance. All other
+orthonormalized by :func:`norms.orthonormal_transform`. For even integer
+p = 2s on the torus, ``|f|^p = |f^s|^2`` with ``f^s`` in the span of the
+s-fold sumset of the spectrum: the certificate is exact, (1, 1), when the
+sample's frame matrix on that span is the identity to 1e-12. All other
 exponents fall back to randomized-restart optimization and are labeled
 heuristic: the minimum found is only an upper bound on the true lower
 constant, the maximum a lower bound on the upper one.
@@ -42,7 +42,7 @@ from .errors import (
     SearchFailedError,
     UnsupportedDomainError,
 )
-from .spaces import TWO_PI, CoefficientVector, Subspace, TrigSpace, product_rows, torus_grid
+from .spaces import TWO_PI, CoefficientVector, Spectrum, Subspace, TrigSpace, product_rows, torus_grid
 
 logger = logging.getLogger(__name__)
 
@@ -233,25 +233,6 @@ def _sample_weights(sample: PointSet) -> tuple[np.ndarray, bool]:
     return np.full(sample.m, 1.0 / sample.m), False
 
 
-def _quadrature_defect(space: TrigSpace, sample: PointSet, degree_mult: int) -> float | None:
-    """Largest aliasing-moment error of the sample up to the given degree.
-
-    Returns None when the moment box is too large to enumerate; a defect
-    near machine precision certifies that the sample integrates every
-    |f|^p exactly.
-    """
-    degs = [degree_mult * deg for deg in space.degrees]
-    count = math.prod(2 * g + 1 for g in degs)
-    if count > 2_000_000:
-        return None
-    K = product_rows([np.arange(-g, g + 1)[:, None] for g in degs])
-    w, _ = _sample_weights(sample)
-    E = np.exp(1j * (np.asarray(sample.points) @ K.T))
-    moments = w @ E
-    target = np.all(K == 0, axis=1).astype(float)
-    return float(np.max(np.abs(moments - target)))
-
-
 def _exact_eigen_certificate(space: Subspace, sample: PointSet, weights, weighted) -> Certificate:
     U = space.basis_values(sample.points)
     A = U.conj().T @ (weights[:, None] * U)
@@ -263,6 +244,14 @@ def _exact_eigen_certificate(space: Subspace, sample: PointSet, weights, weighte
     c2 = float(lam[-1])
     return Certificate(2.0, c1, c2, "exact-eigen", "certified",
                        tolerance=1e-12 * max(c2, 1.0), weighted=weighted)
+
+
+def _sumset_space(space: TrigSpace, s: int) -> TrigSpace:
+    """Span of the s-fold sumset ``K + ... + K`` of the spectrum K."""
+    K = S = space.spectrum.frequencies
+    for _ in range(s - 1):
+        S = np.unique((S[:, None, :] + K[None, :, :]).reshape(-1, K.shape[1]), axis=0)
+    return TrigSpace(Spectrum(S))
 
 
 def _heuristic_p_certificate(space, sample, p, weights, weighted, budget) -> Certificate:
@@ -304,10 +293,10 @@ def _sup_certificate(space, sample, budget) -> Certificate:
 def certify(space: Subspace, sample: PointSet, p, budget: int = 64) -> Certificate:
     """Compute discretization constants for (space, sample, p).
 
-    p = 2 is exact (frame-matrix eigenvalues). Even integer p is exact
-    whenever the sample's aliasing moments vanish up to degree
-    ``p * degree``. Everything else is a randomized-restart optimization
-    bound; see the module docstring for its one-sidedness.
+    p = 2 is exact (frame-matrix eigenvalues). Even integer p = 2s is
+    exact when the frame-matrix eigenvalues on the s-fold sumset's span
+    lie within 1e-12 of 1. Everything else is a randomized-restart
+    optimization bound; see the module docstring for its one-sidedness.
     """
     if sample.m < 1:
         raise InvalidSampleError("empty sample")
@@ -318,11 +307,13 @@ def certify(space: Subspace, sample: PointSet, p, budget: int = 64) -> Certifica
     if p == 2:
         return _exact_eigen_certificate(space, sample, weights, weighted)
     if norms._is_even_integer(p) and isinstance(space, TrigSpace):
-        defect = _quadrature_defect(space, sample, int(p))
-        if defect is not None and defect <= 1e-12:
-            tol = defect * math.prod(2 * int(p) * d + 1 for d in space.degrees) * space.dim
-            return Certificate(float(p), 1.0, 1.0, "exact-quadrature", "certified",
-                               tolerance=max(tol, 1e-15), weighted=weighted)
+        lift = _sumset_space(space, int(p) // 2)
+        if lift.dim <= sample.m:  # a frame matrix of rank below lift.dim is never I
+            frame = _exact_eigen_certificate(lift, sample, weights, weighted)
+            deviation = max(1.0 - frame.c1_pow, frame.c2_pow - 1.0)
+            if deviation <= 1e-12:
+                return Certificate(float(p), 1.0, 1.0, "exact-quadrature", "certified",
+                                   tolerance=max(deviation, 1e-15), weighted=weighted)
     return _heuristic_p_certificate(space, sample, p, weights, weighted, budget)
 
 

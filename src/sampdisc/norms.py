@@ -68,9 +68,9 @@ class NikolskiiEstimate:
 
     ``B = M / N**(1/q)`` is the normalized form used by the sampling
     budgets. ``method`` is "analytic" when M is an exact identity (q = 2)
-    and "grid-search" when it is a heuristic lower estimate: the true
-    ratio ``sup |f| / ||f||_q`` at the element a smoothed sphere search
-    found, with ``grid_size`` nodes in that search's sup grid.
+    and "grid-search" for a lower estimate up to :func:`norm_p`'s
+    refinement accuracy, about 1e-8: the ratio ``sup |f| / ||f||_q`` at
+    the element a smoothed sphere search found (``grid_size`` sup nodes).
     """
 
     def __init__(self, q, M, B, method, grid_size=0):
@@ -116,10 +116,6 @@ def sample_function(target, pointset) -> SampleVector:
 # quadrature grids
 
 
-def _even_sizes(space: Subspace, p: int):
-    return [max(int(p) * deg + 1, 1) for deg in space.degrees]
-
-
 def _is_even_integer(p) -> bool:
     return p != math.inf and float(p) == int(p) and int(p) % 2 == 0 and int(p) >= 2
 
@@ -132,7 +128,7 @@ def power_rule(space: Subspace, p):
     the space's degree.
     """
     if _is_even_integer(p):
-        sizes = _even_sizes(space, int(p))
+        sizes = [int(p) * deg + 1 for deg in space.degrees]
     else:
         floor = {1: 1024, 2: 96}.get(len(space.degrees), 32)
         sizes = [max(16 * deg + 1, floor) for deg in space.degrees]
@@ -173,7 +169,7 @@ def norm_p(f: CoefficientVector, p) -> float:
         return norm_sup(f)
     space = f.space
     if _is_even_integer(p):
-        return _power_mean(evaluate(f, space.grid(_even_sizes(space, int(p)))), p)
+        return _power_mean(power_rule(space, p)[0] @ f.coefficients, p)
     return _refined_norm(lambda x: evaluate(f, x), space,
                          [max(2 * deg + 1, 32) for deg in space.degrees], p)
 
@@ -396,10 +392,10 @@ def nikolskii_constant(space: Subspace, q) -> NikolskiiEstimate:
 
     For q = 2 the constant is an exact identity obtained from the
     orthonormalized Christoffel sum (the pointwise Cauchy-Schwarz bound is
-    attained by the kernel at the maximizing point). Other exponents are
-    heuristic lower estimates: :func:`_optim.extremize_ratio` maximizes a
-    smoothed ratio, the ``SMOOTH_SUP_P`` power mean on :func:`sup_argmax`'s
-    grid over ``||f||_q``, and M is the true ratio
+    attained by the kernel at the maximizing point). Other exponents give
+    lower estimates up to :func:`norm_p`'s refinement accuracy, about 1e-8:
+    :func:`_optim.extremize_ratio` maximizes the ``SMOOTH_SUP_P`` power mean
+    on :func:`sup_argmax`'s grid over ``||f||_q``, and M is the ratio
     ``sup_argmax(f) / norm_p(f, q)`` at the element it returns.
     """
     checked_exponent(q, finite=True)

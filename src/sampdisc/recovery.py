@@ -110,6 +110,8 @@ def lpw_recover(samples: SampleVector, space: Subspace, p, weights) -> RecoveryR
     """
     if samples.source is None:
         raise InvalidSampleError("sample vector must reference its point set")
+    if len(samples) != samples.source.m:
+        raise InvalidSampleError(f"{len(samples)} sample values for {samples.source.m} points")
     checked_exponent(p)
     y = samples.values
     w = checked_weights(weights, y.shape[0], "samples")

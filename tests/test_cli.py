@@ -229,6 +229,36 @@ def test_cli_malformed_field_exits_2_without_traceback(tmp_path, config, field):
     assert f"config error: {field}:" in proc.stderr
 
 
+CERTIFY3 = {"kind": "certify", "space": TRIG3, "sample": {"mode": "iid", "m": 5, "seed": 3}, "p": 2}
+
+
+@pytest.mark.parametrize("config,extra,field", [
+    (dict(CERTIFY3, budjet=4), (), "budjet"),
+    (dict(CERTIFY3, sample={"mode": "iid", "m": 5, "sead": 3}), (), "sample.sead"),
+    (dict(CERTIFY3, budgets={"stage1_s": 40}), (), "budgets"),
+    # an override of a field the kind does not read
+    (CERTIFY3, ("--q", "7"), "q"),
+    ({"kind": "subsample", "space": TRIG3, "q": 2, "eps": 0.5,
+      "budgets": {"stage1_s": 40, "stage2_m": 10, "retry": 5}, "seed": 1}, (), "budgets.retry"),
+])
+def test_cli_unknown_field_exits_2_without_traceback(tmp_path, config, extra, field):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    src = str(Path(sampdisc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "sampdisc.cli", "--config", str(cfg),
+                           "--out", str(tmp_path / "out"), *extra],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"config error: {field}: unknown field" in proc.stderr
+
+
+def test_top_level_kind_and_out_are_known_fields(tmp_path):
+    code, out = run_cli(tmp_path, dict(CERTIFY3, out=str(tmp_path / "elsewhere")))
+    assert code == 0 and (out / "report.json").exists()
+
+
 def test_cli_budget_exhaustion_exit_code(tmp_path):
     code, _ = run_cli(tmp_path, {
         "kind": "subsample", "space": TRIG5, "q": 2, "eps": 0.5,

@@ -214,6 +214,81 @@ def test_even_p_exactness_scales_with_degree():
     assert (cert.c1_pow, cert.c2_pow) == (1.0, 1.0)
 
 
+def _moment_box_exact(space, sample, p):
+    """Plain-numpy moment test: the sample integrates every frequency with
+    coordinates up to ``p * degree`` within 1e-12, so it integrates |f|^p."""
+    box = [np.arange(-p * deg, p * deg + 1) for deg in space.degrees]
+    K = np.stack([g.ravel() for g in np.meshgrid(*box, indexing="ij")], axis=1)
+    w = sample.weights if isinstance(sample, WeightedPointSet) else np.full(sample.m, 1.0 / sample.m)
+    moments = w @ np.exp(1j * (sample.points @ K.T))
+    return np.max(np.abs(moments - np.all(K == 0, axis=1))) <= 1e-12
+
+
+def _even_p_battery():
+    for p in (4, 6):
+        for n in (1, 2, 3):
+            sp = full_trig_space(n)
+            for m in range(2 * n + 1, p * n + 3):
+                pts = generate_points(sp, "equispaced", m)
+                yield sp, pts, p
+                w = 1.0 + 0.5 * np.cos(np.arange(m))
+                yield sp, WeightedPointSet(pts.points, np.full(m, 1.0 / m)), p
+                yield sp, WeightedPointSet(pts.points, w / w.sum()), p
+        for spec in ([[0], [1]], [[-1], [0], [1]]):
+            f = make_trig_space(1, spec)
+            for a, b in ((3, 3), (4, 5), (5, 5), (7, 7), (9, 9)):
+                T = tensor_product([f, f])
+                yield T, generate_points(T, "tensor", factors=[generate_points(f, "equispaced", a),
+                                                               generate_points(f, "equispaced", b)]), p
+
+
+def test_even_p_eigen_test_keeps_every_moment_box_exact_case():
+    passed = 0
+    for sp, pts, p in _even_p_battery():
+        if _moment_box_exact(sp, pts, p):
+            passed += 1
+            cert = certify(sp, pts, p)
+            assert cert.method == "exact-quadrature" and cert.status == "certified"
+            assert (cert.c1_pow, cert.c2_pow) == (1.0, 1.0)
+    assert passed >= 20
+
+
+def test_even_p_exact_on_lacunary_sample_the_moment_box_misses():
+    sp = make_lacunary_space(5, 2)  # K = {1, 2, 4, 8, 16}: 2K - 2K lies in [-30, 30]
+    pts = generate_points(sp, "equispaced", 33)
+    assert not _moment_box_exact(sp, pts, 4)
+    cert = certify(sp, pts, 4)
+    assert (cert.method, cert.status) == ("exact-quadrature", "certified")
+    assert (cert.c1_pow, cert.c2_pow) == (1.0, 1.0)
+
+
+def test_even_p_exact_on_tensor_beyond_the_moment_box():
+    f = make_trig_space(1, [[0], [16]])
+    T = tensor_product([f, f, f])  # the moment box would hold 129^3 frequencies
+    pts = generate_points(T, "tensor", factors=[generate_points(f, "equispaced", 3)] * 3)
+    cert = certify(T, pts, 4)
+    assert (cert.method, cert.status) == ("exact-quadrature", "certified")
+    assert (cert.c1_pow, cert.c2_pow) == (1.0, 1.0)
+    assert cert.tolerance <= 1e-12
+
+
+@pytest.mark.parametrize("n,m,p", [(2, 5, 4), (2, 5, 6), (3, 9, 4)])
+def test_even_p_sumset_exact_cases_agree_with_oracle(n, m, p):
+    sp = make_lacunary_space(n, 2)
+    pts = generate_points(sp, "equispaced", m)
+    cert = certify(sp, pts, p)
+    assert cert.method == "exact-quadrature"
+    oracle = brute_force_certificate(sp, pts, p)
+    assert oracle.c1_pow == pytest.approx(1.0, abs=oracle.tolerance)
+    assert oracle.c2_pow == pytest.approx(1.0, abs=oracle.tolerance)
+
+
+def test_even_p_sample_smaller_than_sumset_is_heuristic():
+    sp = full_trig_space(2)  # |2K| = 9 frequencies, more than the 8 nodes
+    cert = certify(sp, generate_points(sp, "equispaced", 8), 4, budget=4)
+    assert (cert.method, cert.status) == ("optimization-bound", "heuristic-upper-C1")
+
+
 def test_brute_force_exact_case():
     sp = make_trig_space(1, [[1], [-1]])
     cert = brute_force_certificate(sp, generate_points(sp, "equispaced", 5), 4)

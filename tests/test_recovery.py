@@ -24,6 +24,7 @@ from sampdisc import (
 )
 from sampdisc.errors import (
     HeuristicCertificateError,
+    InvalidSampleError,
     InvalidWeightError,
     UnboundedBoundError,
 )
@@ -111,6 +112,14 @@ def test_recovery_idempotent():
     again = lpw_recover(sample_function(first.coefficients, pts), sp, 2, w)
     assert np.max(np.abs(again.coefficients.coefficients
                          - first.coefficients.coefficients)) <= 1e-10
+
+
+@pytest.mark.parametrize("p", [2, 3, math.inf])
+def test_sample_vector_must_match_its_points(p):
+    sp = full_trig_space(2)
+    pts = generate_points(sp, "equispaced", 8)
+    with pytest.raises(InvalidSampleError, match="6 sample values for 8 points"):
+        lpw_recover(SampleVector(np.ones(6), pts), sp, p, uniform(6))
 
 
 def test_member_recovery_weight_invariant():
