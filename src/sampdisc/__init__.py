@@ -58,4 +58,4 @@ from .recovery import (  # noqa: F401
     recovery_bound,
     verify_recovery,
 )
-from . import errors, tolerances  # noqa: F401
+from . import errors  # noqa: F401

@@ -25,8 +25,6 @@ import math
 
 import numpy as np
 
-from . import tolerances
-
 
 # 2**-k, the step factor after k halvings
 _SCALES = 0.5 ** np.arange(26)
@@ -153,14 +151,17 @@ def _weighted_solver(U, y, w):
     return solve
 
 
+MINIMAX_REL = 1e-4  # scale of Lawson's stall rule; not a bound on the fit's relative error
+
+
 def lawson(U, y, w):
     """Discrete minimax fit ``min_c max_j |y_j - (U c)_j|`` by Lawson's reweighting.
 
     Starts from the positive weights ``w`` and multiplies them by the
     residual moduli after each weighted least-squares step. Stops when the
-    maximum residual moved by at most ``0.1 * minimax_rel`` relative over
+    maximum residual moved by at most ``0.1 * MINIMAX_REL`` relative over
     the last 11 steps, or after 300 steps; this stall rule does not bound
-    the relative error by ``minimax_rel``.
+    the relative error by ``MINIMAX_REL``.
 
     Returns ``(c, max_residual, report)`` for the best iterate; the report
     holds ``iterations``, ``rank`` (of U) and ``lower_bound``. With the
@@ -168,7 +169,6 @@ def lawson(U, y, w):
     is the least over all c, hence at most any c's maximum residual;
     ``lower_bound`` is the largest such value over the steps.
     """
-    rel = tolerances.get("minimax_rel")
     solve = _weighted_solver(U, y, w)
     omega = w
     best_val, best_c = math.inf, np.zeros(U.shape[1], dtype=complex)
@@ -182,7 +182,7 @@ def lawson(U, y, w):
         if mx < best_val:
             best_val, best_c = mx, c
         history.append(mx)
-        if len(history) > 12 and abs(history[-1] - history[-12]) <= 0.1 * rel * max(history[-1], 1e-30):
+        if len(history) > 12 and abs(history[-1] - history[-12]) <= 0.1 * MINIMAX_REL * max(history[-1], 1e-30):
             break
         omega = omega * (r + 1e-300)
         omega /= np.sum(omega)
@@ -199,6 +199,7 @@ def residual_gradient(U, w, r, p):
 _T_MIN = 1e-14  # smallest IRLS step factor tried
 _ACCEPT = 1e-15  # relative decrease of the sum that counts as a step
 _CLIP = 1e-12  # residual moduli and weights are clipped at this fraction of their largest
+RECOVERY_TOL = 1e-8  # gradient norm, relative to the starting one, that ends the solve
 
 
 def minimize_residual(U, y, w, p, c):
@@ -213,7 +214,7 @@ def minimize_residual(U, y, w, p, c):
     Hessian is ``p (p - 1)`` times the IRLS matrix, so ``t0 = 1 / (p - 1)``
     is the Newton step; it is capped at 2, as the sum is not smooth at zero
     residuals for p near 1. The solve stops when the gradient norm is at
-    most ``recovery_tol`` times the starting one (``gradient``; at once at
+    most ``RECOVERY_TOL`` times the starting one (``gradient``; at once at
     p = 2), when no step lowers the sum (``no-step``) or after 300 steps
     (``cap``). Every rule is relative, so scaling y scales c.
 
@@ -228,7 +229,7 @@ def minimize_residual(U, y, w, p, c):
     r = y - U @ c
     obj = float(np.sum(w * np.abs(r) ** p))
     g = residual_gradient(U, w, r, p)
-    g_stop = tolerances.get("recovery_tol") * float(np.linalg.norm(g))
+    g_stop = RECOVERY_TOL * float(np.linalg.norm(g))
     stop = "cap"
     for iterations in range(1, 301):
         if p == 2 or float(np.linalg.norm(g)) <= g_stop:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, tolerances
+from . import __version__
 from .discretization import (
     TwoStageBudget,
     certify,
@@ -381,17 +381,13 @@ def main(argv=None) -> int:
     parser.add_argument("--eps", type=float, default=None)
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--threshold", dest="success_threshold", type=float, default=None)
-    parser.add_argument("--tolerance", action="append", default=[],
-                        metavar="KEY=VAL", help="override a named tolerance")
     args = parser.parse_args(argv)
 
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    pairs = (item.partition("=") for item in args.tolerance)
-    try:  # JSON and config errors are ValueErrors; a bad --tolerance applies nothing
+    try:  # JSON and config errors are ValueErrors
         data = OBJECT(json.loads(Path(args.config).read_text()), args.config)
-        scope = tolerances.override({key: val for key, _, val in pairs})
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for name in ("seed", "p", "q", "eps", "trials", "success_threshold"):
@@ -401,8 +397,11 @@ def main(argv=None) -> int:
     config = ExperimentConfig(data)
     try:
         out_dir = Path(args.out or _read(data, "out", TEXT, "."))
-        with scope:
-            report = run_experiment(config)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("out", f"cannot create the output directory: {exc}") from exc
+        report = run_experiment(config)
     except (BudgetExhaustedError, SearchFailedError) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
@@ -410,7 +409,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     if report.series:
         (out_dir / "series.csv").write_text(report.series_csv())

@@ -235,11 +235,9 @@ def _sample_weights(sample: PointSet) -> tuple[np.ndarray, bool]:
 
 def _exact_eigen_certificate(space: Subspace, sample: PointSet, weights, weighted) -> Certificate:
     U = space.basis_values(sample.points)
-    A = U.conj().T @ (weights[:, None] * U)
     if not isinstance(space, TrigSpace):  # the torus basis is already orthonormal
-        T = norms.orthonormal_transform(space)
-        A = T.conj().T @ A @ T
-    lam = np.linalg.eigvalsh(A)
+        U = U @ norms.orthonormal_transform(space)
+    lam = np.linalg.eigvalsh(U.conj().T @ (weights[:, None] * U))
     c1 = max(float(lam[0]), 0.0)
     c2 = float(lam[-1])
     return Certificate(2.0, c1, c2, "exact-eigen", "certified",
@@ -489,11 +487,10 @@ class MinimalMResult:
 
 def minimal_m_search(space: Subspace, p, eps: float, trials: int,
                      success_threshold: float, seed, m_max: int | None = None,
-                     generator: str = "iid", budget: int = 16) -> MinimalMResult:
+                     budget: int = 16) -> MinimalMResult:
     """Bisect for the smallest m whose trial success rate clears the threshold.
 
-    A trial at size m draws points (iid from the measure, or the
-    deterministic equispaced family in diagnostic mode), certifies them,
+    A trial at size m draws m iid points from the measure, certifies them,
     and succeeds when the constants lie in the (1 +- eps) band. Trials
     derive their streams from (seed, m, trial), so the result is
     deterministic and independent of probing order.
@@ -512,10 +509,7 @@ def minimal_m_search(space: Subspace, p, eps: float, trials: int,
             successes = 0
             c1s, c2s = [], []
             for t in range(trials):
-                if generator == "equispaced":
-                    pts = generate_points(space, "equispaced", m)
-                else:
-                    pts = generate_points(space, "iid", m, seed=(seed, m, t))
+                pts = generate_points(space, "iid", m, seed=(seed, m, t))
                 cert = certify(space, pts, p, budget=budget)
                 c1s.append(cert.c1_pow)
                 c2s.append(cert.c2_pow)

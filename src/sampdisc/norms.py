@@ -4,8 +4,8 @@ Torus integrals are computed with equispaced product quadrature. For even
 integer exponents the rule with at least ``p * degree + 1`` nodes per
 dimension is exact, because ``|f|^p`` is itself a trigonometric polynomial
 of per-coordinate degree at most ``p * degree``. For other exponents the
-grid is refined dyadically until two successive values agree to the
-``quad_stop`` tolerance; the result is then accurate to about 1e-8 in
+grid is refined dyadically until two successive values agree to
+``QUAD_STOP``, relative; the result is then accurate to about 1e-8 in
 absolute terms for the well-scaled functions this toolkit produces.
 
 Sup norms of torus functions are grid searches with local refinement and
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from . import _optim, tolerances
+from . import _optim
 from .errors import (
     DegenerateSpaceError,
     InvalidExponentError,
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _MAX_GRID = 1 << 22  # refinement cap on the total number of quadrature nodes
+QUAD_STOP = 1e-9  # relative agreement of two successive refined values that ends refinement
 
 
 class SampleVector:
@@ -144,14 +145,13 @@ def _refined_norm(values_on, space: Subspace, sizes, p) -> float:
     """L_p norm of ``values_on(grid)`` over the space's domain.
 
     Starts from the grid with ``sizes`` nodes per coordinate and doubles
-    them until two successive values agree to ``quad_stop``. A finite
+    them until two successive values agree to ``QUAD_STOP``. A finite
     domain's grid is all of its points, so its first value is exact.
     """
-    stop = tolerances.get("quad_stop")
     prev = None
     while True:
         cur = _power_mean(values_on(space.grid(sizes)), p)
-        converged = prev is not None and abs(cur - prev) <= stop * max(1.0, abs(prev))
+        converged = prev is not None and abs(cur - prev) <= QUAD_STOP * max(1.0, abs(prev))
         if converged or not sizes or math.prod(sizes) * (2 ** len(sizes)) > _MAX_GRID:
             return cur
         prev = cur
@@ -334,7 +334,7 @@ def best_approx(target, space: Subspace, p):
     not held to a stated relative accuracy. Other exponents run
     :func:`_optim.minimize_residual`, the solver of ``lpw_recover``, on the L2
     projection's grid from the projection, until its gradient norm falls to
-    ``recovery_tol`` times the projection's or no step lowers the sum.
+    ``_optim.RECOVERY_TOL`` times the projection's or no step lowers the sum.
     """
     checked_exponent(p)
     if p == math.inf:
@@ -356,16 +356,18 @@ def orthonormal_transform(space: Subspace) -> np.ndarray:
     """Matrix T with ``basis @ T`` orthonormal in L2(mu); ``T T^H`` is the
     package's one inverse of the Gram matrix.
 
-    Identity for torus exponential bases. Raises DegenerateSpaceError when
-    the Gram matrix is numerically singular.
+    Identity for torus exponential bases. On a finite domain it is the
+    inverse of R in the QR factorization of the scaled values, so the Gram
+    matrix ``R^H R`` is never formed and its condition number is not
+    squared. Raises DegenerateSpaceError when R is numerically singular.
     """
     if isinstance(space, TrigSpace):
         return np.eye(space.dim)
-    B = space.coef_gram()
-    lam, Q = np.linalg.eigh(B)
-    if lam[0] <= 1e-12 * max(lam[-1], 1e-300):
+    R = np.linalg.qr(space.values / math.sqrt(space.domain.size), mode="r")
+    sv = np.linalg.svd(R, compute_uv=False)
+    if R.shape[0] < space.dim or sv[-1] <= 1e-6 * sv[0]:
         raise DegenerateSpaceError("basis is numerically rank-deficient")
-    return Q / np.sqrt(lam)
+    return np.linalg.inv(R)
 
 
 def christoffel_sup(space: Subspace) -> float:

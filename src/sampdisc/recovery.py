@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from . import _optim, tolerances
+from . import _optim
 from .discretization import Certificate, PointSet, _sample_weights, certify
 from .errors import (
     HeuristicCertificateError,
@@ -41,6 +41,9 @@ __all__ = [
     "verify_recovery",
     "LpwRegressor",
 ]
+
+# factor on the right side of the bound check, as the grid sup-distance is a lower estimate
+RECOVERY_SLACK = 1.05
 
 
 class RecoveryResult:
@@ -164,7 +167,7 @@ def verify_recovery(f, space: Subspace, sample: PointSet, p,
 
     The left side is the measured L_p error of the recovery; the right
     side is the bound constant times the grid-estimated sup-distance of f
-    from the space, and the comparison carries the ``recovery_slack``
+    from the space, and the comparison carries the ``RECOVERY_SLACK``
     factor because that distance estimate is one-sided. With
     ``allow_heuristic`` the p = inf branch accepts a heuristic constant
     and marks the report advisory.
@@ -191,7 +194,7 @@ def verify_recovery(f, space: Subspace, sample: PointSet, p,
     c1_norm = cert.c1_pow if p == math.inf else cert.c1_pow ** (1.0 / p)
     rhs = bound * d_inf
     return RecoveryBoundReport(c1_norm, float(np.sum(w)), bound, lhs, rhs,
-                               tolerances.get("recovery_slack"), d_inf, p,
+                               RECOVERY_SLACK, d_inf, p,
                                advisory=advisory)
 
 

@@ -1,5 +1,6 @@
 """Tests for the experiment driver: configs, reports, CSV, exit codes."""
 
+import importlib
 import json
 import math
 import os
@@ -14,7 +15,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sampdisc
-from sampdisc import tolerances
 from sampdisc.cli import ExperimentConfig, main, run_experiment
 from sampdisc.errors import ConfigError
 
@@ -267,46 +267,40 @@ def test_cli_budget_exhaustion_exit_code(tmp_path):
     assert code == 3
 
 
-def test_cli_tolerance_override(tmp_path):
-    code, out = run_cli(tmp_path / "a", RECOVER, extra_args=("--tolerance", "recovery_slack=1.2"))
-    assert code == 0
-    assert json.loads((out / "report.json").read_text())["records"][0]["slack"] == 1.2
-    # the override ends with its run
-    assert tolerances.get("recovery_slack") == tolerances.DEFAULTS["recovery_slack"]
-    code, out = run_cli(tmp_path / "b", RECOVER)
+def test_cli_tolerance_option_is_gone(tmp_path):
+    # the numerical settings are fixed; argparse rejects the option before any work
+    with pytest.raises(SystemExit) as info:
+        run_cli(tmp_path, RECOVER, extra_args=("--tolerance", "quad_stop=1e-10"))
+    assert info.value.code == 2
+    assert not (tmp_path / "out").exists()
+    # the report still records the slack the bound check applied
+    code, out = run_cli(tmp_path, RECOVER)
     assert code == 0
     assert json.loads((out / "report.json").read_text())["records"][0]["slack"] == 1.05
 
 
-def test_cli_rejects_unknown_tolerance(tmp_path):
-    code, _ = run_cli(tmp_path, RECOVER,
-                      extra_args=("--tolerance", "recovery_slack=1.1", "--tolerance", "bogus=1"))
-    assert code == 2
-    # a rejected run applies none of its overrides, not even the valid ones
-    assert tolerances.get("recovery_slack") == tolerances.DEFAULTS["recovery_slack"]
-
-
-def test_tolerance_override_is_scoped_and_checked_up_front():
-    with tolerances.override({"quad_stop": "1e-10"}):
-        assert tolerances.get("quad_stop") == 1e-10
-        with tolerances.override({"quad_stop": 1e-6, "minimax_rel": 1e-3}):
-            assert (tolerances.get("quad_stop"), tolerances.get("minimax_rel")) == (1e-6, 1e-3)
-        assert (tolerances.get("quad_stop"), tolerances.get("minimax_rel")) == (1e-10, 1e-4)
-    assert tolerances.get("quad_stop") == 1e-9
-    with pytest.raises(KeyError):
-        tolerances.override({"quad_stop": 1e-10, "bogus": 1})
-    with pytest.raises(ValueError):
-        tolerances.override({"quad_stop": "x"})
+def test_cli_unusable_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sampdisc.cli, "run_experiment", lambda config: pytest.fail("ran"))
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(RECOVER))
+    assert main(["--config", str(cfg), "--out", str(taken)]) == 2
+    assert "config error: out: " in capsys.readouterr().err
 
 
 def test_readme_tolerance_table_matches_defaults():
-    # every key of tolerances.DEFAULTS has one README row with its default, and no other row
+    # every fixed numerical setting has one README row with its value, and no other row
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    table = readme.split("| key | default | governs |\n| --- | --- | --- |\n")[1].split("\n\n")[0]
+    table = readme.split("| constant | value | governs |\n| --- | --- | --- |\n")[1].split("\n\n")[0]
     rows = [line.split("|")[1:3] for line in table.splitlines()]
-    assert {key.strip().strip("`"): float(default.strip().strip("`")) for key, default in rows} \
-        == tolerances.DEFAULTS
-    assert len(rows) == len(tolerances.DEFAULTS)
+    constants = {"norms.QUAD_STOP": 1e-9, "_optim.MINIMAX_REL": 1e-4,
+                 "_optim.RECOVERY_TOL": 1e-8, "recovery.RECOVERY_SLACK": 1.05}
+    assert {name.strip().strip("`"): float(value.strip().strip("`")) for name, value in rows} \
+        == constants
+    for name, value in constants.items():
+        module, _, attr = name.partition(".")
+        assert getattr(importlib.import_module(f"sampdisc.{module}"), attr) == value
 
 
 def _walk_certificates(obj):

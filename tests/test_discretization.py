@@ -155,6 +155,21 @@ def test_certify_basis_change_invariance():
     assert a.c2_pow == pytest.approx(b.c2_pow, abs=1e-10)
 
 
+def test_certify_basis_invariance_ill_conditioned():
+    # Q is orthonormal in L2(1/S) and cond(M) = 10^4.5, so the Gram matrix of
+    # Q M has condition about 1e9; whitening through it would square that
+    S, n, m = 60, 6, 25
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        Q = np.linalg.qr(rng.standard_normal((S, n)))[0] * math.sqrt(S)
+        U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        M = U @ np.diag(np.logspace(0, -4.5, n)) @ V
+        pts = PointSet(np.sort(rng.choice(S, m, replace=False)))
+        a, b = certify(DiscreteSpace(Q), pts, 2), certify(DiscreteSpace(Q @ M), pts, 2)
+        assert b.c1_pow == pytest.approx(a.c1_pow, rel=1e-11, abs=0)
+        assert b.c2_pow == pytest.approx(a.c2_pow, rel=1e-11, abs=0)
+
+
 def test_certificate_sandwich_with_constants():
     sp = full_trig_space(1)
     for seed in range(5):
@@ -468,12 +483,6 @@ def test_minimal_m_search_needs_at_least_dimension():
     res = minimal_m_search(sp, 2, 0.5, 10, 0.9, seed=4)
     assert res.m_star >= sp.dim
     assert all(pt.trials == 10 for pt in res.curve)
-
-
-def test_minimal_m_search_equispaced_diagnostic():
-    sp = full_trig_space(2)
-    res = minimal_m_search(sp, 2, 0.5, 3, 0.9, seed=5, generator="equispaced")
-    assert res.m_star == sp.dim
 
 
 def test_minimal_m_search_deterministic():

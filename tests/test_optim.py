@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sampdisc import _optim, generate_points, make_lacunary_space, make_trig_space, norms, tolerances
+from sampdisc import _optim, generate_points, make_lacunary_space, make_trig_space, norms
 
 
 def sequential_extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, iters=150,
@@ -205,7 +205,7 @@ def svd_irls(U, y, w, p, c):
             t *= 0.5
         return None
 
-    tol = tolerances.get("recovery_tol")
+    tol = _optim.RECOVERY_TOL
     g, r = gradient(c)
     scale = max(1.0, float(np.linalg.norm(g)))
     obj = float(np.sum(w * np.abs(r) ** p))
