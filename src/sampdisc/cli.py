@@ -376,11 +376,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="output directory (default from config, else cwd)")
-    parser.add_argument("--p", type=float, default=None)
-    parser.add_argument("--q", type=float, default=None)
-    parser.add_argument("--eps", type=float, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--threshold", dest="success_threshold", type=float, default=None)
     args = parser.parse_args(argv)
 
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
@@ -390,9 +385,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    for name in ("seed", "p", "q", "eps", "trials", "success_threshold"):
-        if getattr(args, name) is not None:
-            data[name] = getattr(args, name)
+    if args.seed is not None:
+        data["seed"] = args.seed
 
     config = ExperimentConfig(data)
     try:

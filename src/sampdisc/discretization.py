@@ -273,7 +273,7 @@ def _sup_certificate(space, sample, budget) -> Certificate:
     # smoothed max: power mean with a large even exponent steers the
     # search, the reported constant is the true ratio at the best point
     U = space.basis_values(sample.points)
-    V = space.basis_values(space.grid([max(96 * deg, 96) for deg in space.degrees]))
+    V = space.basis_values(space.grid(norms._sup_sizes(space)))
     wnum = np.full(U.shape[0], 1.0 / U.shape[0])
     wden = np.full(V.shape[0], 1.0 / V.shape[0])
     _, sv, vt = np.linalg.svd(U, full_matrices=False)

@@ -1,15 +1,19 @@
 """Continuous and discrete norms, best approximations, and related constants.
 
-Torus integrals are computed with equispaced product quadrature. For even
-integer exponents the rule with at least ``p * degree + 1`` nodes per
-dimension is exact, because ``|f|^p`` is itself a trigonometric polynomial
-of per-coordinate degree at most ``p * degree``. For other exponents the
-grid is refined dyadically until two successive values agree to
-``QUAD_STOP``, relative; the result is then accurate to about 1e-8 in
-absolute terms for the well-scaled functions this toolkit produces.
+Every grid but the enumeration oracle's is sized here, one rule per purpose:
+:func:`power_rule` for certificate and Nikolskii quadratures, exact for even
+integer p as ``|f|^p`` is then a trigonometric polynomial of per-coordinate
+degree ``p * degree``; :func:`_sup_sizes` for sup searches over elements;
+:func:`_handle_sizes` for a function of unknown degree; and
+``max(4 * degree + 1, 64)`` nodes per dimension to start an L_p norm at
+non-even p. :func:`_refine` doubles such a grid until two successive values
+agree (norms to ``QUAD_STOP``, relative, which leaves them accurate to about
+1e-8 for the well-scaled functions this toolkit produces), and never past
+``_MAX_GRID`` nodes.
 
-Sup norms of torus functions are grid searches with local refinement and
-are therefore lower estimates. Finite-domain norms are exact weighted sums.
+Torus sup norms are lower estimates: grid searches with local refinement
+for elements, a maximum on the fixed handle grid for other functions.
+Finite-domain norms are exact weighted sums.
 """
 
 from __future__ import annotations
@@ -141,48 +145,48 @@ def _power_mean(vals, p) -> float:
     return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
 
 
-def _refined_norm(values_on, space: Subspace, sizes, p) -> float:
-    """L_p norm of ``values_on(grid)`` over the space's domain.
-
-    Starts from the grid with ``sizes`` nodes per coordinate and doubles
-    them until two successive values agree to ``QUAD_STOP``. A finite
-    domain's grid is all of its points, so its first value is exact.
-    """
-    prev = None
+def _refine(compute, sizes, agree):
+    """Last ``compute(sizes)``, doubling every axis of ``sizes`` until two
+    successive results ``agree(prev, cur)`` or the next grid would exceed
+    ``_MAX_GRID`` nodes. A finite domain has no axes: it is computed once."""
+    cur = compute(sizes)
     while True:
-        cur = _power_mean(values_on(space.grid(sizes)), p)
-        converged = prev is not None and abs(cur - prev) <= QUAD_STOP * max(1.0, abs(prev))
-        if converged or not sizes or math.prod(sizes) * (2 ** len(sizes)) > _MAX_GRID:
+        if not sizes or math.prod(sizes) * 2 ** len(sizes) > _MAX_GRID:
             return cur
-        prev = cur
         sizes = [2 * n for n in sizes]
+        prev, cur = cur, compute(sizes)
+        if agree(prev, cur):
+            return cur
 
 
 def norm_p(f: CoefficientVector, p) -> float:
-    """The L_p(mu) norm of an element, 1 <= p < infinity.
+    """The L_p(mu) norm of an element, 1 <= p <= infinity.
 
-    Exact for finite domains and for even integer p on the torus;
-    otherwise computed by dyadic grid refinement.
+    Exact for finite domains and for even integer p on the torus; else
+    :func:`handle_norm_p`'s refinement, or :func:`norm_sup` at p = inf.
     """
     checked_exponent(p)
     if p == math.inf:
         return norm_sup(f)
-    space = f.space
     if _is_even_integer(p):
-        return _power_mean(power_rule(space, p)[0] @ f.coefficients, p)
-    return _refined_norm(lambda x: evaluate(f, x), space,
-                         [max(2 * deg + 1, 32) for deg in space.degrees], p)
+        return _power_mean(power_rule(f.space, p)[0] @ f.coefficients, p)
+    return handle_norm_p(f, f.space, p)
 
 
 def handle_norm_p(handle, space: Subspace, p) -> float:
     """L_p norm of an arbitrary function handle over the space's domain.
 
-    Used when the integrand is not an element of a known subspace (e.g.
-    a recovery residual); refines dyadically like :func:`norm_p`.
+    Used when the integrand is not an element of a known subspace (e.g. a
+    recovery residual). Finite p refines from ``max(4 * degree + 1, 64)``
+    nodes per dimension; p = inf is the largest modulus on the
+    :func:`_handle_sizes` grid, which ``best_approx(p=inf)`` fits on.
     """
-    checked_exponent(p, finite=True)
-    return _refined_norm(lambda x: call_target(handle, x), space,
-                         [max(4 * deg + 1, 64) for deg in space.degrees], p)
+    checked_exponent(p)
+    if p == math.inf:
+        return float(np.max(np.abs(call_target(handle, space.grid(_handle_sizes(space))))))
+    return _refine(lambda sizes: _power_mean(call_target(handle, space.grid(sizes)), p),
+                   [max(4 * deg + 1, 64) for deg in space.degrees],
+                   lambda prev, cur: abs(cur - prev) <= QUAD_STOP * max(1.0, abs(prev)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +213,13 @@ def _golden_max(fn, lo, hi, iters=60):
 
 
 def _sup_sizes(space: Subspace):
+    """Nodes per dimension of the sup search over elements of the space."""
     return [max(64 * deg, 64) for deg in space.degrees]
+
+
+def _handle_sizes(space: Subspace):
+    """Nodes per dimension for a function of unknown degree on the space's domain."""
+    return [max(64 * deg, 512 if len(space.degrees) == 1 else 128) for deg in space.degrees]
 
 
 def sup_argmax(f: CoefficientVector):
@@ -297,9 +307,9 @@ def discrete_norm(s, p, weights=None) -> float:
 # best approximation
 
 
-def _approx_grid(target, space, base_floor):
+def _approx_grid(target, space, sizes):
     """Grid, weights, and target values for the approximation solvers."""
-    grid = space.grid([max(64 * deg, base_floor) for deg in space.degrees])
+    grid = space.grid(sizes)
     return grid, np.full(grid.shape[0], 1.0 / grid.shape[0]), call_target(target, grid)
 
 
@@ -307,19 +317,15 @@ def _project_l2(target, space):
     """Orthogonal projection ``c = T T^H V^H (gamma t)``, T from :func:`orthonormal_transform`.
     Returns ``(c, distance, (V, gamma, t))``, the last three on the final grid."""
     T = orthonormal_transform(space)
-    last_c = None
-    floor = 256 if len(space.degrees) == 1 else 64
-    while True:
-        grid, gamma, t = _approx_grid(target, space, floor)
+
+    def project(sizes):
+        grid, gamma, t = _approx_grid(target, space, sizes)
         V = space.basis_values(grid)
         c = T @ (T.conj().T @ (V.conj().T @ (gamma * t)))
-        dist = float(np.sqrt(np.sum(gamma * np.abs(t - V @ c) ** 2)))
-        converged = last_c is not None and np.max(np.abs(c - last_c)) <= 1e-10 and abs(dist - last_d) <= 1e-9
-        # a finite domain's grid is all of it
-        if converged or not space.degrees or grid.shape[0] * 2 > _MAX_GRID:
-            return c, dist, (V, gamma, t)
-        last_c, last_d = c, dist
-        floor = 2 * max(floor, max(64 * deg for deg in space.degrees))
+        return c, float(np.sqrt(np.sum(gamma * np.abs(t - V @ c) ** 2))), (V, gamma, t)
+
+    return _refine(project, _handle_sizes(space), lambda prev, cur: (
+        np.max(np.abs(cur[0] - prev[0])) <= 1e-10 and abs(cur[1] - prev[1]) <= 1e-9))
 
 
 def best_approx(target, space: Subspace, p):
@@ -329,16 +335,18 @@ def best_approx(target, space: Subspace, p):
     ``target``; sampled values are fitted by :func:`recovery.lpw_recover`. The
     distance is computed on a grid and therefore approximates the true
     distance from below; for p = 2 the projection itself is the exact
-    orthogonal one. The p = inf branch is a discrete minimax fit by
-    :func:`_optim.lawson`, which stops when its maximum residual stalls and is
-    not held to a stated relative accuracy. Other exponents run
+    orthogonal one, refined by :func:`_refine` from the :func:`_handle_sizes`
+    grid until its coefficients agree to 1e-10 and its distance to 1e-9. The
+    p = inf branch is a discrete minimax fit by :func:`_optim.lawson` on the
+    :func:`_handle_sizes` grid, which stops when its maximum residual stalls
+    and is not held to a stated relative accuracy. Other exponents run
     :func:`_optim.minimize_residual`, the solver of ``lpw_recover``, on the L2
     projection's grid from the projection, until its gradient norm falls to
     ``_optim.RECOVERY_TOL`` times the projection's or no step lowers the sum.
     """
     checked_exponent(p)
     if p == math.inf:
-        grid, gamma, t = _approx_grid(target, space, 512 if len(space.degrees) == 1 else 128)
+        grid, gamma, t = _approx_grid(target, space, _handle_sizes(space))
         c, dist, _ = _optim.lawson(space.basis_values(grid), t, gamma)
         return CoefficientVector(space, c), dist
     c2, dist2, (V, gamma, t) = _project_l2(target, space)
@@ -397,8 +405,9 @@ def nikolskii_constant(space: Subspace, q) -> NikolskiiEstimate:
     attained by the kernel at the maximizing point). Other exponents give
     lower estimates up to :func:`norm_p`'s refinement accuracy, about 1e-8:
     :func:`_optim.extremize_ratio` maximizes the ``SMOOTH_SUP_P`` power mean
-    on :func:`sup_argmax`'s grid over ``||f||_q``, and M is the ratio
-    ``sup_argmax(f) / norm_p(f, q)`` at the element it returns.
+    on the :func:`_sup_sizes` grid over ``||f||_q`` on :func:`power_rule`'s,
+    and M is the ratio ``sup_argmax(f) / norm_p(f, q)`` at the element it
+    returns.
     """
     checked_exponent(q, finite=True)
     n = space.dim

@@ -47,8 +47,6 @@ __all__ = [
 class TorusDomain:
     """The d-torus with the normalized Lebesgue probability measure."""
 
-    kind = "torus"
-
     def __init__(self, dim: int):
         if dim < 1:
             raise UnsupportedDomainError("torus dimension must be a positive integer")
@@ -70,8 +68,6 @@ class FiniteDomain:
 
     Points are addressed by their index ``0 .. size-1``.
     """
-
-    kind = "finite-set"
 
     def __init__(self, size: int):
         if size < 1:

@@ -236,8 +236,8 @@ CERTIFY3 = {"kind": "certify", "space": TRIG3, "sample": {"mode": "iid", "m": 5,
     (dict(CERTIFY3, budjet=4), (), "budjet"),
     (dict(CERTIFY3, sample={"mode": "iid", "m": 5, "sead": 3}), (), "sample.sead"),
     (dict(CERTIFY3, budgets={"stage1_s": 40}), (), "budgets"),
-    # an override of a field the kind does not read
-    (CERTIFY3, ("--q", "7"), "q"),
+    # a field another kind reads
+    (dict(CERTIFY3, q=7), (), "q"),
     ({"kind": "subsample", "space": TRIG3, "q": 2, "eps": 0.5,
       "budgets": {"stage1_s": 40, "stage2_m": 10, "retry": 5}, "seed": 1}, (), "budgets.retry"),
 ])
@@ -277,6 +277,15 @@ def test_cli_tolerance_option_is_gone(tmp_path):
     code, out = run_cli(tmp_path, RECOVER)
     assert code == 0
     assert json.loads((out / "report.json").read_text())["records"][0]["slack"] == 1.05
+
+
+@pytest.mark.parametrize("flag", ["--p", "--q", "--eps", "--trials", "--threshold"])
+def test_cli_field_override_options_are_gone(tmp_path, flag):
+    # fields come from the config alone; argparse rejects the option before any work
+    with pytest.raises(SystemExit) as info:
+        run_cli(tmp_path, CERTIFY3, extra_args=(flag, "3"))
+    assert info.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_unusable_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys):

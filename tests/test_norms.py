@@ -24,7 +24,7 @@ from sampdisc import (
     sample_function,
     tensor_product,
 )
-from sampdisc import _optim
+from sampdisc import _optim, norms, spaces
 from sampdisc.errors import (
     DegenerateSpaceError,
     InvalidExponentError,
@@ -242,6 +242,40 @@ def test_projection_residual_is_gram_orthogonal():
     resid = target(xs[:, 0]) - V @ proj.coefficients
     inner = V.conj().T @ resid / xs.shape[0]
     assert np.max(np.abs(inner)) <= 1e-10
+
+
+def _fail_above_max_grid(monkeypatch):
+    # every torus grid the package builds comes from spaces.torus_grid; fail
+    # before allocating one of more than _MAX_GRID nodes
+    build = spaces.torus_grid
+
+    def capped(sizes):
+        if math.prod(sizes) > norms._MAX_GRID:
+            pytest.fail(f"a grid of {sizes} nodes exceeds _MAX_GRID")
+        return build(sizes)
+
+    monkeypatch.setattr(spaces, "torus_grid", capped)
+
+
+AXES3 = make_trig_space(3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_best_approx_3d_refinement_stays_within_max_grid(monkeypatch):
+    # a kink keeps the projection from converging, so refinement runs until
+    # the next grid would pass the cap
+    _fail_above_max_grid(monkeypatch)
+    kinked = lambda x: np.abs(np.sin(x[:, 0])) + np.abs(np.cos(x[:, 1] + x[:, 2]))  # noqa: E731
+    proj, dist = best_approx(kinked, AXES3, 2)
+    assert 0 < dist < 1 and np.all(np.isfinite(proj.coefficients))
+
+
+def test_handle_sup_norm_is_the_maximum_on_the_handle_grid(monkeypatch):
+    sp = full_trig_space(2)
+    h = lambda x: np.cos(3 * x) * np.exp(np.sin(x))  # noqa: E731
+    assert handle_norm_p(h, sp, math.inf) == float(np.max(np.abs(h(torus_grid([512])[:, 0]))))
+    _fail_above_max_grid(monkeypatch)
+    sup = handle_norm_p(lambda x: np.sin(x[:, 0]) * np.cos(x[:, 1] - x[:, 2]), AXES3, math.inf)
+    assert 1 - 1e-3 <= sup <= 1
 
 
 @pytest.mark.parametrize("p", [2, 3, math.inf])

@@ -91,7 +91,7 @@ def _sup_setup(space, m, seed):
     # the inputs of discretization._sup_certificate
     sample = generate_points(space, "iid", m, seed=seed)
     U = space.basis_values(sample.points)
-    V = space.basis_values(space.grid([max(96 * deg, 96) for deg in space.degrees]))
+    V = space.basis_values(space.grid(norms._sup_sizes(space)))
     _, _, vt = np.linalg.svd(U, full_matrices=False)
     extras = [vt[-1].conj(), np.ones(space.dim) / math.sqrt(space.dim)]
     args = (U, np.full(m, 1.0 / m), V, np.full(V.shape[0], 1.0 / V.shape[0]), 64.0)
