@@ -4,9 +4,13 @@
 used to extremize ratios of discrete to continuous p-th power norms, and
 sup-to-L_q ratios with the ``SMOOTH_SUP_P`` power mean as the sup.
 Restarts run as one batched numpy computation and every restart derives
-its step size independently. The bits of a row of ``C[subset] @ U.T`` can
-differ from the same row of ``C @ U.T``, so which restarts share a call
-matters. Results are bit-reproducible because each call's restart set is a
+its step size independently. One call may search both senses: a sign per
+row, and one result per sense. The numerator is a hook: the direct sum
+over the sample rows, or, at even p, its frame form on the sumset's span,
+whose cost does not grow with the sample size. The bits of a row of
+``C[subset] @ U.T`` can differ from the same row of ``C @ U.T``, so which
+restarts share a call matters, and stacked senses share one restart set.
+Results are bit-reproducible because each call's restart set is a
 deterministic function of the inputs, and the stacked step halving replays
 those sets exactly. Ties between equally good optima are broken by the
 lowest restart index.
@@ -43,8 +47,38 @@ def _power_grad(mat, w, p, Y):
     return p * ((w * a ** (p - 2.0) * Y) @ np.conj(mat))
 
 
+def _direct_numerator(mat, w, p):
+    """``(values, grad)`` of ``sum w |mat c|^p``: ``values(C, Y)`` gives the
+    rows' values and sums, ``grad(values, Y)`` the gradient."""
+    def values(C, Y):
+        vals = C @ mat.T
+        return vals, _power_sum(vals, w, p)
+
+    return values, lambda vals, Y: _power_grad(mat, w, p, vals)
+
+
+def _sumset_numerator(V, gamma, B, L, s):
+    """``(values, grad)`` as in :func:`_direct_numerator`, for the frame
+    form ``||g L^T||^2`` of ``sum w |f|^(2s)``, from ``Y = C V^T`` on the
+    exact rule ``(V, gamma)``: ``g = (Y^s)(gamma conj B)`` holds the
+    coefficients of ``f^s`` in the basis B of the sumset's span, and the
+    gradient is ``2s ((gamma conj(Y)^(s-1) (h B^T)) conj V)`` with
+    ``h = (g L^T) conj L``."""
+    P = gamma[:, None] * np.conj(B)
+    Lt, Lc, Bt, Vc = L.T, np.conj(L), B.T, np.conj(V)
+
+    def values(C, Y):
+        Z = ((Y ** s) @ P) @ Lt
+        return Z, np.sum(Z.real ** 2 + Z.imag ** 2, axis=-1)
+
+    def grad(Z, Y):
+        return (2 * s) * ((gamma * ((Z @ Lc) @ Bt) * np.conj(Y) ** (s - 1)) @ Vc)
+
+    return values, grad
+
+
 def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=False,
-                    seed=(0xD15C, 0), extra_starts=None, den_p=None):
+                    seed=(0xD15C, 0), extra_starts=None, den_p=None, lift=None):
     """Extremize ``R(c) = sum w |num_mat c|^p / (sum gamma |den_mat c|^q)^(p/q)``
     with ``q = den_p``, by default ``p``.
 
@@ -54,30 +88,60 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=Fal
     found is an upper bound on the true infimum and the maximum found is a
     lower bound on the true supremum. The report holds ``iterations``
     (gradient steps), ``restarts`` and ``evaluations`` (objective calls).
+
+    Senses: ``maximize`` may be a tuple of bools, with ``seed`` then a tuple
+    of as many seeds. Each sense draws its restarts from its own seed after
+    its copy of ``extra_starts``, all senses search as one stack with a sign
+    per row, and each picks its best restart among its own rows. The call
+    returns ``(ratios, cs, report)`` with one ratio and one c per sense and
+    ``restarts`` counting every row. Stacked senses share the call's
+    restart set, so their bits can differ from single-sense calls.
+
+    Numerator hook: for ``p = 2s`` with ``den_mat`` the exact rule V,
+    ``den_w`` its weights gamma and ``lift = (B, L)``, the search steers on
+    ``||g L^T||^2`` instead of ``sum w |num_mat c|^p``. Here B is the basis
+    of the s-fold sumset's span on the rule's nodes, so ``g = (Y^s)(gamma
+    conj B)`` with ``Y = C V^T`` holds the coefficients of ``f^s``, and L
+    is the R factor of ``sqrt(w) E`` (E that basis at the sample), so the
+    frame matrix is ``L^H L`` and ``||g L^T||^2 = sum w |f|^p``. An
+    evaluation then costs ``O(nodes (N + |sK|) + |sK|^2)`` per row, free of
+    the sample size m. The ratio returned is the direct
+    ``sum w |num_mat c|^p`` at the final rows, one m-row product per call,
+    and the best restart is chosen on it.
     """
+    stacked = not isinstance(maximize, bool)
+    senses = tuple(maximize) if stacked else (maximize,)
     n = num_mat.shape[1]
-    rng = np.random.default_rng(seed)
     starts = list(extra_starts) if extra_starts is not None else []
     k = max(restarts, 1)
-    rand = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
-    C = np.vstack([np.asarray(starts, dtype=complex).reshape(-1, n), rand]) if starts else rand
+    blocks = []
+    for sd in seed if stacked else (seed,):
+        rng = np.random.default_rng(sd)
+        rand = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+        blocks.append(np.vstack([np.asarray(starts, dtype=complex).reshape(-1, n), rand]) if starts else rand)
+    C = np.vstack(blocks)
     C = C / np.linalg.norm(C, axis=1, keepdims=True)
-    sign = -1.0 if maximize else 1.0
+    rows = C.shape[0] // len(senses)
+    sign = np.repeat([-1.0 if mx else 1.0 for mx in senses], rows)  # minimize sign * log R
 
     num_w = np.asarray(num_w, dtype=float)
     den_w = np.asarray(den_w, dtype=float)
     q = p if den_p is None else den_p
     k_den = p / q  # exactly 1.0 when q is p
 
-    def objective(Cb):
-        Yn = Cb @ num_mat.T
+    if lift is None:
+        numerator, numerator_grad = _direct_numerator(num_mat, num_w, p)
+    else:
+        numerator, numerator_grad = _sumset_numerator(den_mat, den_w, *lift, int(p) // 2)
+
+    def objective(Cb, sg):
         Yd = Cb @ den_mat.T
-        Sn = _power_sum(Yn, num_w, p)
+        Yn, Sn = numerator(Cb, Yd)
         Sd = _power_sum(Yd, den_w, q)
-        F = sign * (np.log(np.maximum(Sn, 1e-300)) - k_den * np.log(np.maximum(Sd, 1e-300)))
+        F = sg * (np.log(np.maximum(Sn, 1e-300)) - k_den * np.log(np.maximum(Sd, 1e-300)))
         return F, Yn, Yd, Sn, Sd
 
-    F, Yn, Yd, Sn, Sd = objective(C)
+    F, Yn, Yd, Sn, Sd = objective(C, sign)
     evaluations = 1
     step = np.full(C.shape[0], 0.25)
     active = np.ones(C.shape[0], dtype=bool)
@@ -85,9 +149,9 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=Fal
     for it in range(150):
         if not np.any(active):
             break
-        Gn = _power_grad(num_mat, num_w, p, Yn)
+        Gn = numerator_grad(Yn, Yd)
         Gd = _power_grad(den_mat, den_w, q, Yd)
-        G = sign * (Gn / np.maximum(Sn, 1e-300)[:, None] - k_den * (Gd / np.maximum(Sd, 1e-300)[:, None]))
+        G = sign[:, None] * (Gn / np.maximum(Sn, 1e-300)[:, None] - k_den * (Gd / np.maximum(Sd, 1e-300)[:, None]))
         moved = np.zeros(C.shape[0], dtype=bool)
         # Up to 25 halvings of the step: accept the restarts whose candidate
         # improves, halve the step of the others. After a halving that moved
@@ -105,7 +169,7 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=Fal
             depth = min(25 - halving, C.shape[0] // trial.size) if stack else 1
             cand = C[trial] - (_SCALES[:depth, None] * step[trial])[:, :, None] * G[trial]
             cand = cand / np.linalg.norm(cand, axis=-1, keepdims=True)
-            Fc, Ync, Ydc, Snc, Sdc = objective(cand)
+            Fc, Ync, Ydc, Snc, Sdc = objective(cand, sign[trial])
             evaluations += 1
             better = Fc < F[trial] - 1e-15
             stack = not better.any()
@@ -127,10 +191,15 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=Fal
             step[trial[~ok]] *= _SCALES[b + 1]
             halving += b + 1
         active &= moved | (step > 1e-13)
+    if lift is not None:  # report the direct sum, not the steering one
+        Sn = _power_sum(C @ num_mat.T, num_w, p)
     ratios = Sn / np.maximum(Sd, 1e-300) ** k_den
-    best = int(np.argmax(ratios)) if maximize else int(np.argmin(ratios))
     report = {"iterations": it + 1, "restarts": int(C.shape[0]), "evaluations": evaluations}
-    return float(ratios[best]), C[best], report
+    best = [lo + int(np.argmax(ratios[lo:lo + rows]) if mx else np.argmin(ratios[lo:lo + rows]))
+            for lo, mx in zip(range(0, C.shape[0], rows), senses)]
+    if not stacked:
+        return float(ratios[best[0]]), C[best[0]], report
+    return tuple(float(ratios[b]) for b in best), tuple(C[b] for b in best), report
 
 
 def _weighted_solver(U, y, w):

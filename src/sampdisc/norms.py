@@ -125,15 +125,26 @@ def _is_even_integer(p) -> bool:
     return p != math.inf and float(p) == int(p) and int(p) % 2 == 0 and int(p) >= 2
 
 
+def _exact_sizes(space: Subspace, p):
+    """Nodes per axis of :func:`power_rule`'s exact rule at even integer p,
+    ``p * degree + 1``. Raises InvalidExponentError, before anything is
+    built, when their product passes ``_MAX_GRID``."""
+    sizes = [int(p) * deg + 1 for deg in space.degrees]
+    if math.prod(sizes) > _MAX_GRID:
+        raise InvalidExponentError(f"exponent {p!r} needs an exact rule of p * degree + 1 nodes per axis, "
+                                   f"more than {_MAX_GRID} in all")
+    return sizes
+
+
 def power_rule(space: Subspace, p):
     """Quadrature rule (values matrix, weights) for ``||f||_p^p``.
 
-    Exact for finite domains and for even integer p on the torus. For
-    other exponents this is a dense-grid relaxation sized generously for
-    the space's degree.
+    Exact for finite domains and for even integer p on the torus, on the
+    :func:`_exact_sizes` grid. For other exponents this is a dense-grid
+    relaxation sized generously for the space's degree.
     """
     if _is_even_integer(p):
-        sizes = [int(p) * deg + 1 for deg in space.degrees]
+        sizes = _exact_sizes(space, p)
     else:
         floor = {1: 1024, 2: 96}.get(len(space.degrees), 32)
         sizes = [max(16 * deg + 1, floor) for deg in space.degrees]

@@ -254,6 +254,26 @@ def test_cli_unknown_field_exits_2_without_traceback(tmp_path, config, extra, fi
     assert f"config error: {field}: unknown field" in proc.stderr
 
 
+@pytest.mark.parametrize("config", [
+    # a 10^6-node exact rule that the heuristic search would hold 134 times;
+    # this ran for minutes inside the s-fold sumset, s - 1 = 499,999 unions
+    {"kind": "certify", "space": TRIG3, "sample": {"mode": "equispaced", "m": 5}, "p": 1e6},
+    # a 10^12-node exact rule; this asked numpy for 7.28 TiB
+    {"kind": "nikolskii", "space": TRIG3, "q": 1e12},
+], ids=["certify-p1e6", "nikolskii-q1e12"])
+def test_cli_huge_even_exponent_exits_2_without_traceback(tmp_path, config):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    src = str(Path(sampdisc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "sampdisc.cli", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "exponent" in proc.stderr
+
+
 def test_top_level_kind_and_out_are_known_fields(tmp_path):
     code, out = run_cli(tmp_path, dict(CERTIFY3, out=str(tmp_path / "elsewhere")))
     assert code == 0 and (out / "report.json").exists()

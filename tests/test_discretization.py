@@ -24,7 +24,8 @@ from sampdisc import (
     tensor_product,
     two_stage_subsample,
 )
-from sampdisc.discretization import PointSet
+from sampdisc import _optim, discretization, norms
+from sampdisc.discretization import PointSet, _sumset_space
 from sampdisc.errors import (
     BudgetExhaustedError,
     InvalidSampleError,
@@ -285,6 +286,79 @@ def test_even_p_exact_on_tensor_beyond_the_moment_box():
     assert (cert.method, cert.status) == ("exact-quadrature", "certified")
     assert (cert.c1_pow, cert.c2_pow) == (1.0, 1.0)
     assert cert.tolerance <= 1e-12
+
+
+@pytest.mark.parametrize("spectrum,s", [([[1], [2], [4]], 1), ([[1], [2], [4]], 5), ([[-1], [0], [1]], 6),
+                                         ([[0, 0], [1, 0], [0, 3], [2, 1]], 7), ([[3]], 4)])
+def test_sumset_by_doubling_matches_repeated_sums(spectrum, s):
+    K = np.array(spectrum)
+    S = K
+    for _ in range(s - 1):
+        S = np.unique((S[:, None, :] + K[None, :, :]).reshape(-1, K.shape[1]), axis=0)
+    lift = _sumset_space(make_trig_space(K.shape[1], spectrum), s)
+    assert np.array_equal(lift.spectrum.frequencies, S)
+
+
+def _heuristic_inputs(space, sample, p):
+    # the inputs of discretization._heuristic_p_certificate, with the sumset hook built for any m
+    w = np.full(sample.m, 1.0 / sample.m)
+    U = space.basis_values(sample.points)
+    V, gamma = norms.power_rule(space, p)
+    lift = _sumset_space(space, p // 2)
+    B = lift.basis_values(space.grid(norms._exact_sizes(space, p)))
+    L = np.linalg.qr(np.sqrt(w)[:, None] * lift.basis_values(sample.points), mode="r")
+    _, _, vt = np.linalg.svd(U, full_matrices=False)
+    extras = [vt[-1].conj(), vt[0].conj(), np.ones(space.dim) / math.sqrt(space.dim)]
+    return (U, w, V, gamma, p), {"extra_starts": extras, "lift": (B, L)}
+
+
+def test_lifted_search_reports_the_direct_minimum_of_a_near_singular_sample():
+    # the lacunary study's n = 4, m = 4 row at seed 13: its c1 is 1.6e-15, far
+    # below the rounding of the frame form, so only a ratio recomputed from
+    # the samples keeps it to 1e-9
+    sp = make_lacunary_space(4, 2)
+    pts = generate_points(sp, "iid", 4, seed=((13, 4), 4, 0))
+    args, kw = _heuristic_inputs(sp, pts, 4)
+    (lo, _), _, _ = _optim.extremize_ratio(*args, restarts=16, maximize=(False, True),
+                                           seed=((0xC1, 0), (0xC2, 0)), **kw)
+    assert lo == pytest.approx(1.5780147551428179e-15, rel=1e-9)
+    assert certify(sp, pts, 4, budget=16).c1_pow == pytest.approx(1.5780147551428179e-15, rel=1e-9)
+
+
+@pytest.mark.parametrize("n,m", [(2, 28), (2, 60), (3, 103)])
+def test_lifted_certificate_agrees_with_the_direct_search(n, m, monkeypatch):
+    # above m = nodes * |sK| certify steers on the sumset frame; without the
+    # lift the same search gives the same constants to 1e-9
+    sp = make_lacunary_space(n, 2)
+    pts = generate_points(sp, "iid", m, seed=(n, m))
+    lifted = []
+    sumset_numerator = _optim._sumset_numerator
+    monkeypatch.setattr(_optim, "_sumset_numerator", lambda *a: lifted.append(1) or sumset_numerator(*a))
+    cert = certify(sp, pts, 4, budget=16)
+    assert lifted and (cert.method, cert.status) == ("optimization-bound", "heuristic-upper-C1")
+    w = np.full(m, 1.0 / m)
+    direct = discretization._heuristic_p_certificate(sp, pts, 4, w, False, 16)
+    assert cert.c1_pow == pytest.approx(direct.c1_pow, rel=1e-9)
+    assert cert.c2_pow == pytest.approx(direct.c2_pow, rel=1e-9)
+
+
+def test_lift_is_only_used_above_the_size_rule(monkeypatch):
+    # lacunary n = 2: 9 nodes and |2K| = 3, so m = 27 stays direct
+    sp = make_lacunary_space(2, 2)
+    monkeypatch.setattr(_optim, "_sumset_numerator", lambda *a: pytest.fail("lifted at m = 27"))
+    certify(sp, generate_points(sp, "iid", 27, seed=1), 4, budget=4)
+
+
+def test_huge_even_exponent_is_refused_before_any_grid_is_built(monkeypatch):
+    sp = make_trig_space(1, [[-1], [0], [1]])
+    monkeypatch.setattr("sampdisc.spaces.torus_grid", lambda sizes: pytest.fail(f"built {sizes}"))
+    pts = PointSet(np.linspace(0, TWO_PI, 5, endpoint=False))
+    # a 10^12-node exact rule, and a 10^6-node rule the heuristic search would hold 134 times
+    for p in (1e12, 1e6):
+        with pytest.raises(InvalidExponentError):
+            certify(sp, pts, p)
+    with pytest.raises(InvalidExponentError):
+        norms.power_rule(sp, 1e12)
 
 
 @pytest.mark.parametrize("n,m,p", [(2, 5, 4), (2, 5, 6), (3, 9, 4)])

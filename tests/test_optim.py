@@ -1,12 +1,14 @@
-"""Tests for the shared solvers: the stacked step halving of extremize_ratio
-and the finite-p residual solver."""
+"""Tests for the shared solvers: the stacked step halving, the stacked senses
+and the sumset numerator of extremize_ratio, and the finite-p residual
+solver."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sampdisc import _optim, generate_points, make_lacunary_space, make_trig_space, norms
+from sampdisc import _optim, generate_points, make_lacunary_space, make_trig_space, norms, tensor_product
+from sampdisc.discretization import _sumset_space
 
 
 def sequential_extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, iters=150,
@@ -175,6 +177,98 @@ def test_stacked_halving_saves_evaluations_on_lacunary_case():
     assert report["iterations"] == ref_report["iterations"]
     assert report["restarts"] == ref_report["restarts"]
     assert report["evaluations"] < ref_report["evaluations"]
+
+
+def _lift_case(name, p, m=40, seed=3):
+    # the sample's values U, weights w, the exact rule (V, gamma) and the
+    # sumset hook (B, L) that discretization._heuristic_p_certificate builds
+    if name == "lacunary":
+        space = make_lacunary_space(3, 2)
+    else:
+        space = tensor_product([make_trig_space(1, [[0], [1], [3]]), make_trig_space(1, [[-1], [0], [2]])])
+    sample = generate_points(space, "iid", m, seed=seed)
+    w = np.random.default_rng(seed).uniform(0.5, 1.5, m)
+    w /= w.sum()
+    V, gamma = norms.power_rule(space, p)
+    lift = _sumset_space(space, p // 2)
+    B = lift.basis_values(space.grid(norms._exact_sizes(space, p)))
+    L = np.linalg.qr(np.sqrt(w)[:, None] * lift.basis_values(sample.points), mode="r")
+    return space.basis_values(sample.points), w, V, gamma, B, L
+
+
+LIFT_CASES = [("lacunary", 4), ("lacunary", 6), ("tensor", 4)]
+
+
+@pytest.mark.parametrize("name,p", LIFT_CASES)
+def test_sumset_numerator_is_the_discrete_power_sum(name, p):
+    U, w, V, gamma, B, L = _lift_case(name, p)
+    values, _ = _optim._sumset_numerator(V, gamma, B, L, p // 2)
+    C = np.random.default_rng(11).standard_normal((25, U.shape[1], 2)) @ np.array([1.0, 1j])
+    _, sums = values(C, C @ V.T)
+    direct = np.array([sum(wj * abs(np.dot(row, c)) ** p for wj, row in zip(w, U)) for c in C])
+    assert np.max(np.abs(sums / direct - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("name,p", LIFT_CASES)
+def test_sumset_numerator_gradient_matches_central_differences(name, p):
+    U, w, V, gamma, B, L = _lift_case(name, p)
+    values, grad = _optim._sumset_numerator(V, gamma, B, L, p // 2)
+    c = np.random.default_rng(12).standard_normal((U.shape[1], 2)) @ np.array([1.0, 1j])
+
+    def total(x):
+        return values(x[None, :], (x @ V.T)[None, :])[1][0]
+
+    Z, _ = values(c[None, :], (c @ V.T)[None, :])
+    G = grad(Z, (c @ V.T)[None, :])[0]
+    h = 1e-6
+    for i in range(c.size):
+        e = np.zeros(c.size, dtype=complex)
+        e[i] = h
+        # dS = Re sum conj(G_i) dc_i: the real part of G_i along Re c_i, the imaginary part along Im c_i
+        assert (total(c + e) - total(c - e)) / (2 * h) == pytest.approx(G[i].real, rel=1e-6, abs=1e-9)
+        assert (total(c + 1j * e) - total(c - 1j * e)) / (2 * h) == pytest.approx(G[i].imag, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("name,p", LIFT_CASES)
+def test_lifted_call_returns_the_direct_ratio(name, p):
+    U, w, V, gamma, B, L = _lift_case(name, p)
+    ratios, cs, report = _optim.extremize_ratio(U, w, V, gamma, p, restarts=8, maximize=(False, True),
+                                                seed=((0xC1, 0), (0xC2, 0)), lift=(B, L))
+    assert report["restarts"] == 16
+    for ratio, c in zip(ratios, cs):
+        num = sum(wj * abs(np.dot(row, c)) ** p for wj, row in zip(w, U))
+        den = sum(gj * abs(np.dot(row, c)) ** p for gj, row in zip(gamma, V))
+        assert ratio == pytest.approx(num / den, rel=1e-13)
+    assert ratios[0] <= ratios[1]
+
+
+def _two_sense_cases():
+    three = make_trig_space(1, [[0], [1], [3]])
+    for n, m, seed in [(2, 5, 1), (2, 12, 2), (3, 7, 3), (3, 20, 4), (4, 4, 5), (4, 9, 6), (4, 30, 7)]:
+        args, kw = _even_p_setup(make_lacunary_space(n, 2), m, 4, seed=seed)
+        yield args, dict(kw, restarts=16)
+    for m, seed in [(4, 8), (9, 9), (15, 10)]:
+        args, kw = _even_p_setup(three, m, 3, seed=seed)
+        yield args, dict(kw, restarts=16)
+    args, kw = _even_p_setup(make_lacunary_space(2, 2), 6, 6, seed=11)
+    yield args, dict(kw, restarts=16)
+    U, w, V, gamma, B, L = _lift_case("lacunary", 4, m=120, seed=12)
+    yield (U, w, V, gamma, 4), {"restarts": 16, "lift": (B, L)}
+
+
+def test_stacked_senses_agree_with_single_sense_calls():
+    cases = 0
+    for args, kw in _two_sense_cases():
+        (lo, hi), (c_lo, c_hi), report = _optim.extremize_ratio(
+            *args, maximize=(False, True), seed=((0xC1, 0), (0xC2, 0)), **kw)
+        lo1, _, report1 = _optim.extremize_ratio(*args, seed=(0xC1, 0), **kw)
+        hi1, _, _ = _optim.extremize_ratio(*args, maximize=True, seed=(0xC2, 0), **kw)
+        assert lo == pytest.approx(lo1, rel=1e-9)
+        assert hi == pytest.approx(hi1, rel=1e-9)
+        assert report["restarts"] == 2 * report1["restarts"]
+        assert c_lo.shape == c_hi.shape == (args[0].shape[1],)
+        cases += 1
+    assert cases >= 10
 
 
 def svd_lstsq(U, y, w):
