@@ -9,7 +9,8 @@ degree ``p * degree``; :func:`_sup_sizes` for sup searches over elements;
 non-even p. :func:`_refine` doubles such a grid until two successive values
 agree (norms to ``QUAD_STOP``, relative, which leaves them accurate to about
 1e-8 for the well-scaled functions this toolkit produces), and never past
-``_MAX_GRID`` nodes.
+``_MAX_GRID`` nodes. The exact, sup and handle rules refuse a space whose
+grid would pass ``_MAX_GRID`` before anything is built.
 
 Torus sup norms are lower estimates: grid searches with local refinement
 for elements, a maximum on the fixed handle grid for other functions.
@@ -125,15 +126,19 @@ def _is_even_integer(p) -> bool:
     return p != math.inf and float(p) == int(p) and int(p) % 2 == 0 and int(p) >= 2
 
 
+def _capped(sizes, error, what):
+    """``sizes``; raises ``error``, before anything is built, when their
+    product passes ``_MAX_GRID``."""
+    if math.prod(sizes) > _MAX_GRID:
+        raise error(f"{what} needs {' x '.join(map(str, sizes))} grid nodes, more than {_MAX_GRID}")
+    return sizes
+
+
 def _exact_sizes(space: Subspace, p):
     """Nodes per axis of :func:`power_rule`'s exact rule at even integer p,
-    ``p * degree + 1``. Raises InvalidExponentError, before anything is
-    built, when their product passes ``_MAX_GRID``."""
-    sizes = [int(p) * deg + 1 for deg in space.degrees]
-    if math.prod(sizes) > _MAX_GRID:
-        raise InvalidExponentError(f"exponent {p!r} needs an exact rule of p * degree + 1 nodes per axis, "
-                                   f"more than {_MAX_GRID} in all")
-    return sizes
+    ``p * degree + 1``, at most ``_MAX_GRID`` in all (InvalidExponentError)."""
+    return _capped([int(p) * deg + 1 for deg in space.degrees], InvalidExponentError,
+                   f"the exact rule of exponent {p!r}")
 
 
 def power_rule(space: Subspace, p):
@@ -224,13 +229,17 @@ def _golden_max(fn, lo, hi, iters=60):
 
 
 def _sup_sizes(space: Subspace):
-    """Nodes per dimension of the sup search over elements of the space."""
-    return [max(64 * deg, 64) for deg in space.degrees]
+    """Nodes per dimension of the sup search over elements of the space, at
+    most ``_MAX_GRID`` in all (UnsupportedNormError)."""
+    return _capped([max(64 * deg, 64) for deg in space.degrees], UnsupportedNormError,
+                   "the sup search over the space")
 
 
 def _handle_sizes(space: Subspace):
-    """Nodes per dimension for a function of unknown degree on the space's domain."""
-    return [max(64 * deg, 512 if len(space.degrees) == 1 else 128) for deg in space.degrees]
+    """Nodes per dimension for a function of unknown degree on the space's
+    domain, at most ``_MAX_GRID`` in all (UnsupportedNormError)."""
+    return _capped([max(64 * deg, 512 if len(space.degrees) == 1 else 128) for deg in space.degrees],
+                   UnsupportedNormError, "a function on the space's domain")
 
 
 def sup_argmax(f: CoefficientVector):

@@ -187,6 +187,21 @@ class TrigSpace(Subspace):
         self._spectrum = spectrum
         self._domain = TorusDomain(spectrum.dim)
         self._factors = tuple(factors) if factors else None
+        # basis_values computes angles only for the first frequency h of each
+        # pair {h, -h}; column i of the basis reads column _cols[i] of those
+        # angles, its sine negated where _signs[i] is -1
+        K = spectrum.frequencies
+        rows = [tuple(r) for r in K.tolist()]
+        where = {r: i for i, r in enumerate(rows)}
+        first = np.array([min(i, where.get(tuple(-v for v in r), i)) for i, r in enumerate(rows)])
+        reps = np.flatnonzero(first == np.arange(len(rows)))
+        self._half, self._cols, self._signs = K, None, None
+        if len(reps) < len(rows):
+            self._half = K[reps]
+            self._cols = np.searchsorted(reps, first)
+            self._signs = np.where(first < np.arange(len(rows)), -1.0, 1.0)
+            for a in (self._half, self._cols, self._signs):
+                a.setflags(write=False)
 
     @property
     def domain(self) -> TorusDomain:
@@ -226,8 +241,29 @@ class TrigSpace(Subspace):
         return pts
 
     def basis_values(self, points) -> np.ndarray:
+        """Values ``exp(i <k, x>)``, shape (m, N), equal bit for bit to
+        ``np.exp(1j * (pts @ K.T))`` with K the frequency rows.
+
+        The bits matter: p = 2 certificates near a singular frame report
+        constants of about 1e-9, whose digits follow every last bit of the
+        basis values, and identical configs must give identical output. The
+        values come from one cos/sin pass over the angles of half of the
+        ``{k, -k}`` pairs. That is exact because ``x . (-k) = -(x . k)`` in
+        floating point (rounding is symmetric), cos is even and sin odd,
+        and numpy's complex exp of ``0 + i t`` is ``cos t + i sin(t + 0)``;
+        ``tests/test_spaces.py`` checks the identity bit for bit.
+        """
         pts = self.check_points(points)
-        return np.exp(1j * (pts @ self._spectrum.frequencies.T))
+        theta = pts @ self._half.T
+        out = np.empty((pts.shape[0], self.dim), dtype=complex)
+        if self._cols is None:
+            np.cos(theta, out=out.real)
+            np.sin(theta, out=out.imag)
+        else:
+            out.real = np.cos(theta)[:, self._cols]
+            np.multiply(np.sin(theta)[:, self._cols], self._signs, out=out.imag)
+        out.imag += 0.0  # -0 to +0: exp(1j * t) has sine +0 at t = -0 and at t = +0
+        return out
 
     def grid(self, sizes) -> np.ndarray:
         return torus_grid(sizes)

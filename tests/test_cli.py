@@ -274,6 +274,15 @@ def test_cli_huge_even_exponent_exits_2_without_traceback(tmp_path, config):
     assert "exponent" in proc.stderr
 
 
+def test_cli_sup_grid_past_the_cap_exits_2(tmp_path, capsys):
+    # degree 3 on three axes: the sup search would need 192^3 nodes
+    space = {"kind": "trig", "dimension": 3, "spectrum": [[0, 0, 0], [3, 0, 0], [0, 3, 0], [0, 0, 3]]}
+    code, _ = run_cli(tmp_path, {"kind": "certify", "space": space,
+                                 "sample": {"mode": "iid", "m": 8}, "p": "inf", "seed": 1})
+    assert code == 2
+    assert "grid nodes" in capsys.readouterr().err
+
+
 def test_top_level_kind_and_out_are_known_fields(tmp_path):
     code, out = run_cli(tmp_path, dict(CERTIFY3, out=str(tmp_path / "elsewhere")))
     assert code == 0 and (out / "report.json").exists()

@@ -278,6 +278,28 @@ def test_handle_sup_norm_is_the_maximum_on_the_handle_grid(monkeypatch):
     assert 1 - 1e-3 <= sup <= 1
 
 
+# degree 3 on three axes: the sup and handle rules ask for 192^3 = 7,077,888 nodes
+CUBE3 = make_trig_space(3, [[0, 0, 0], [3, 0, 0], [0, 3, 0], [0, 0, 3]])
+
+
+def test_sup_grids_past_max_grid_are_refused_before_building(monkeypatch):
+    _fail_above_max_grid(monkeypatch)
+    sample = generate_points(CUBE3, "iid", 8, seed=0)
+    f = CoefficientVector(CUBE3, np.ones(4))
+    target = lambda x: np.cos(x[:, 0])  # noqa: E731
+    for call in (lambda: certify(CUBE3, sample, math.inf), lambda: norms.sup_argmax(f),
+                 lambda: best_approx(target, CUBE3, math.inf), lambda: best_approx(target, CUBE3, 2),
+                 lambda: handle_norm_p(target, CUBE3, math.inf)):
+        with pytest.raises(UnsupportedNormError, match="192 x 192 x 192 grid nodes"):
+            call()
+
+
+def test_degree_one_3d_sup_search_still_runs(monkeypatch):
+    # 64^3 nodes; the 128^3 handle grid runs in the two tests above
+    _fail_above_max_grid(monkeypatch)
+    assert norm_sup(CoefficientVector(AXES3, np.ones(4))) == pytest.approx(4.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("p", [2, 3, math.inf])
 def test_best_approx_sends_sampled_values_to_lpw_recover(p):
     # a sample is not an exact quadrature of the domain, so best_approx

@@ -261,3 +261,53 @@ def test_domain_measures_have_unit_mass():
 def test_spectrum_dimension_mismatch():
     with pytest.raises(InvalidSpectrumError):
         make_trig_space(2, [[1], [2]])
+
+
+# basis_values must reproduce exp(i <k, x>) from the full angle matrix bit
+# for bit: near-singular p = 2 certificates carry every last bit of it
+
+def _exp_basis(space, points):
+    return np.exp(1j * (space.check_points(points) @ space.spectrum.frequencies.T))
+
+
+def _bits(values):
+    # compares signed zeros too, unlike np.array_equal
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+ONE_D_SPECTRA = {"-16..16": range(-16, 17), "0..8": range(9), "lacunary": [1, 2, 4, 8, 16],
+                 "3,-5,7": [3, -5, 7]}
+ONE_D_POINTS = {
+    "iid": np.random.default_rng(11).uniform(0.0, TWO_PI, 300),
+    "grid-513": np.arange(513) * (TWO_PI / 513),  # starts at 0, where sin is a signed zero
+    "scalar": 2.5,
+    "flat-list": [0.0, -0.0, -1.25, 3.0, 1e5],
+}
+
+
+@pytest.mark.parametrize("points", ONE_D_POINTS.values(), ids=ONE_D_POINTS.keys())
+@pytest.mark.parametrize("spectrum", ONE_D_SPECTRA.values(), ids=ONE_D_SPECTRA.keys())
+def test_basis_values_equal_complex_exp_bit_for_bit(spectrum, points):
+    sp = make_trig_space(1, [[k] for k in spectrum])
+    got = sp.basis_values(points)
+    assert got.shape == (np.size(points), sp.dim)
+    assert np.array_equal(_bits(got), _bits(_exp_basis(sp, points)))
+
+
+@pytest.mark.parametrize("factors", [
+    [range(-3, 4), [0, 2, -2, 5]],
+    [range(-2, 3), [0, 1], [-1, 1, 3]],
+], ids=["2d", "3d"])
+def test_tensor_basis_values_match_complex_exp(factors):
+    sp = tensor_product([make_trig_space(1, [[k] for k in f]) for f in factors])
+    d = sp.domain.dim
+    for pts in (np.random.default_rng(12).uniform(0.0, TWO_PI, (400, d)), sp.grid([17] * d)):
+        assert np.max(np.abs(sp.basis_values(pts) - _exp_basis(sp, pts))) <= 1e-15
+
+
+def test_basis_angles_are_shared_by_frequency_pairs():
+    # one angle column per pair {k, -k}; spectra without pairs skip the gather
+    assert full_trig_space(16)._half.shape == (17, 1)
+    assert full_trig_space(2, d=2)._half.shape == (13, 2)
+    assert make_trig_space(1, [[3], [-5], [7]])._cols is None
+    assert make_lacunary_space(5, 2)._cols is None
