@@ -4,8 +4,9 @@
 used to extremize ratios of discrete to continuous p-th power norms, and
 sup-to-L_q ratios with the ``SMOOTH_SUP_P`` power mean as the sup.
 Restarts run as one batched numpy computation and every restart derives
-its step size independently. One call may search both senses: a sign per
-row, and one result per sense. The numerator is a hook: the direct sum
+its step size independently. Every call names its senses, minimize or
+maximize, one or two, and returns one result per sense; all senses search
+as one stack with a sign per row. The numerator is a hook: the direct sum
 over the sample rows, or, at even p, its frame form on the sumset's span,
 whose cost does not grow with the sample size. The bits of a row of
 ``C[subset] @ U.T`` can differ from the same row of ``C @ U.T``, so which
@@ -77,25 +78,21 @@ def _sumset_numerator(V, gamma, B, L, s):
     return values, grad
 
 
-def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=False,
-                    seed=(0xD15C, 0), extra_starts=None, den_p=None, lift=None):
+def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=(False,),
+                    seed=((0xD15C, 0),), extra_starts=(), den_p=None, lift=None):
     """Extremize ``R(c) = sum w |num_mat c|^p / (sum gamma |den_mat c|^q)^(p/q)``
-    with ``q = den_p``, by default ``p``.
+    with ``q = den_p``, by default ``p``, in each sense of ``maximize``.
 
-    Returns ``(ratio, c, report)`` for the best restart. The search takes
-    up to 150 steps along the gradient of log R with per-restart step
-    halving and sphere renormalization (R is scale-invariant). The minimum
-    found is an upper bound on the true infimum and the maximum found is a
-    lower bound on the true supremum. The report holds ``iterations``
-    (gradient steps), ``restarts`` and ``evaluations`` (objective calls).
-
-    Senses: ``maximize`` may be a tuple of bools, with ``seed`` then a tuple
-    of as many seeds. Each sense draws its restarts from its own seed after
-    its copy of ``extra_starts``, all senses search as one stack with a sign
-    per row, and each picks its best restart among its own rows. The call
-    returns ``(ratios, cs, report)`` with one ratio and one c per sense and
-    ``restarts`` counting every row. Stacked senses share the call's
-    restart set, so their bits can differ from single-sense calls.
+    ``maximize`` holds one bool and ``seed`` one seed per sense. Each sense
+    draws its restarts from its own seed after its copy of ``extra_starts``
+    and picks its best restart among its own rows. Returns ``(ratios, cs,
+    report)``, one ratio and one c per sense. The search takes up to 150
+    steps along the gradient of log R with per-restart step halving and
+    sphere renormalization (R is scale-invariant). A minimum found is an
+    upper bound on the true infimum and a maximum found a lower bound on
+    the true supremum. The report holds ``iterations`` (gradient steps),
+    ``restarts`` (rows, over every sense) and ``evaluations`` (objective
+    calls).
 
     Numerator hook: for ``p = 2s`` with ``den_mat`` the exact rule V,
     ``den_w`` its weights gamma and ``lift = (B, L)``, the search steers on
@@ -109,20 +106,17 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=Fal
     ``sum w |num_mat c|^p`` at the final rows, one m-row product per call,
     and the best restart is chosen on it.
     """
-    stacked = not isinstance(maximize, bool)
-    senses = tuple(maximize) if stacked else (maximize,)
     n = num_mat.shape[1]
-    starts = list(extra_starts) if extra_starts is not None else []
+    starts = np.asarray(extra_starts, dtype=complex).reshape(-1, n)
     k = max(restarts, 1)
     blocks = []
-    for sd in seed if stacked else (seed,):
+    for sd in seed:
         rng = np.random.default_rng(sd)
-        rand = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
-        blocks.append(np.vstack([np.asarray(starts, dtype=complex).reshape(-1, n), rand]) if starts else rand)
+        blocks += [starts, rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))]
     C = np.vstack(blocks)
     C = C / np.linalg.norm(C, axis=1, keepdims=True)
-    rows = C.shape[0] // len(senses)
-    sign = np.repeat([-1.0 if mx else 1.0 for mx in senses], rows)  # minimize sign * log R
+    rows = C.shape[0] // len(maximize)
+    sign = np.repeat([-1.0 if mx else 1.0 for mx in maximize], rows)  # minimize sign * log R
 
     num_w = np.asarray(num_w, dtype=float)
     den_w = np.asarray(den_w, dtype=float)
@@ -141,7 +135,8 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=Fal
         F = sg * (np.log(np.maximum(Sn, 1e-300)) - k_den * np.log(np.maximum(Sd, 1e-300)))
         return F, Yn, Yd, Sn, Sd
 
-    F, Yn, Yd, Sn, Sd = objective(C, sign)
+    state = (C, *objective(C, sign))  # C, F, Yn, Yd, Sn, Sd: a row per restart, updated in place
+    _, F, Yn, Yd, Sn, Sd = state
     evaluations = 1
     step = np.full(C.shape[0], 0.25)
     active = np.ones(C.shape[0], dtype=bool)
@@ -169,9 +164,9 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=Fal
             depth = min(25 - halving, C.shape[0] // trial.size) if stack else 1
             cand = C[trial] - (_SCALES[:depth, None] * step[trial])[:, :, None] * G[trial]
             cand = cand / np.linalg.norm(cand, axis=-1, keepdims=True)
-            Fc, Ync, Ydc, Snc, Sdc = objective(cand, sign[trial])
+            found = (cand, *objective(cand, sign[trial]))
             evaluations += 1
-            better = Fc < F[trial] - 1e-15
+            better = found[1] < F[trial] - 1e-15
             stack = not better.any()
             if stack:
                 step[trial] *= _SCALES[depth]
@@ -180,12 +175,8 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=Fal
             b = int(np.argmax(better.any(axis=1)))
             ok = better[b]
             idx = trial[ok]
-            C[idx] = cand[b, ok]
-            F[idx] = Fc[b, ok]
-            Yn[idx] = Ync[b, ok]
-            Yd[idx] = Ydc[b, ok]
-            Sn[idx] = Snc[b, ok]
-            Sd[idx] = Sdc[b, ok]
+            for kept, new in zip(state, found):
+                kept[idx] = new[b, ok]
             step[idx] = np.minimum(step[idx] * _SCALES[b] * 1.5, 1.0)
             moved[idx] = True
             step[trial[~ok]] *= _SCALES[b + 1]
@@ -196,9 +187,7 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=Fal
     ratios = Sn / np.maximum(Sd, 1e-300) ** k_den
     report = {"iterations": it + 1, "restarts": int(C.shape[0]), "evaluations": evaluations}
     best = [lo + int(np.argmax(ratios[lo:lo + rows]) if mx else np.argmin(ratios[lo:lo + rows]))
-            for lo, mx in zip(range(0, C.shape[0], rows), senses)]
-    if not stacked:
-        return float(ratios[best[0]]), C[best[0]], report
+            for lo, mx in zip(range(0, C.shape[0], rows), maximize)]
     return tuple(float(ratios[b]) for b in best), tuple(C[b] for b in best), report
 
 

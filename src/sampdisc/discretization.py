@@ -44,6 +44,7 @@ from .errors import (
     OracleTooLargeError,
     SearchFailedError,
     UnsupportedDomainError,
+    UnsupportedNormError,
 )
 from .spaces import TWO_PI, CoefficientVector, Spectrum, Subspace, TrigSpace, product_rows, torus_grid
 
@@ -283,27 +284,20 @@ def _heuristic_p_certificate(space, sample, p, weights, weighted, budget, lift=N
     _, sv, vt = np.linalg.svd(U, full_matrices=False)
     extras = [vt[-1].conj(), vt[0].conj(), np.ones(space.dim) / math.sqrt(space.dim)]
     singular = U.shape[0] < space.dim or (sv.size and sv[-1] <= 1e-10 * sv[0])
+    senses = (True,) if singular else (False, True)
     if norms._is_even_integer(p):
-        nodes = math.prod(norms._exact_sizes(space, p))
-        rows = (1 if singular else 2) * (max(budget, 1) + len(extras))
-        if rows * nodes > norms._MAX_GRID:
-            raise InvalidExponentError(f"exponent {p!r} needs a {nodes}-node rule; the heuristic search would "
-                                       f"hold {rows} x {nodes} values, more than {norms._MAX_GRID}")
+        norms._search_capped(len(senses) * (max(budget, 1) + len(extras)), norms._exact_sizes(space, p),
+                             InvalidExponentError, f"exponent {p!r}")
     V, gamma = norms.power_rule(space, p)
     hook = None
     if lift is not None and sample.m > V.shape[0] * lift.dim:
         B = lift.basis_values(space.grid(norms._exact_sizes(space, p)))
         L = np.linalg.qr(np.sqrt(weights)[:, None] * lift.basis_values(sample.points), mode="r")
         hook = (B, L)
-    if singular:
-        lo = 0.0
-        hi, _, _ = _optim.extremize_ratio(U, weights, V, gamma, p, restarts=budget, maximize=True,
-                                          seed=(0xC2, 0), extra_starts=extras, lift=hook)
-    else:
-        (lo, hi), _, _ = _optim.extremize_ratio(U, weights, V, gamma, p, restarts=budget,
-                                                maximize=(False, True), seed=((0xC1, 0), (0xC2, 0)),
-                                                extra_starts=extras, lift=hook)
-    return Certificate(float(p), max(lo, 0.0), hi, "optimization-bound",
+    ratios, _, _ = _optim.extremize_ratio(U, weights, V, gamma, p, restarts=budget, maximize=senses,
+                                          seed=tuple((0xC2 if mx else 0xC1, 0) for mx in senses),
+                                          extra_starts=extras, lift=hook)
+    return Certificate(float(p), 0.0 if singular else max(ratios[0], 0.0), ratios[-1], "optimization-bound",
                        "heuristic-upper-C1", tolerance=None, weighted=weighted)
 
 
@@ -311,13 +305,15 @@ def _sup_certificate(space, sample, budget) -> Certificate:
     # smoothed max: power mean with a large even exponent steers the
     # search, the reported constant is the true ratio at the best point
     U = space.basis_values(sample.points)
-    V = space.basis_values(space.grid(norms._sup_sizes(space)))
-    wnum = np.full(U.shape[0], 1.0 / U.shape[0])
-    wden = np.full(V.shape[0], 1.0 / V.shape[0])
     _, sv, vt = np.linalg.svd(U, full_matrices=False)
     extras = [vt[-1].conj(), np.ones(space.dim) / math.sqrt(space.dim)]
-    _, c, _ = _optim.extremize_ratio(U, wnum, V, wden, _optim.SMOOTH_SUP_P, restarts=budget,
-                                     seed=(0xC3, 0), extra_starts=extras)
+    sizes = norms._sup_sizes(space)
+    norms._search_capped(max(budget, 1) + len(extras), sizes, UnsupportedNormError, "the sup certificate")
+    V = space.basis_values(space.grid(sizes))
+    wnum = np.full(U.shape[0], 1.0 / U.shape[0])
+    wden = np.full(V.shape[0], 1.0 / V.shape[0])
+    _, (c,), _ = _optim.extremize_ratio(U, wnum, V, wden, _optim.SMOOTH_SUP_P, restarts=budget,
+                                        seed=((0xC3, 0),), extra_starts=extras)
     f = CoefficientVector(space, c)
     num = float(np.max(np.abs(U @ c)))
     den = norms.sup_argmax(f)[0]
@@ -336,9 +332,10 @@ def certify(space: Subspace, sample: PointSet, p, budget: int = 64) -> Certifica
     for its one-sidedness. At even p that search steers on the sumset
     frame when the sample is large (see :func:`_heuristic_p_certificate`),
     and the constants are the direct discrete ratios at the elements found.
-    Even p raises InvalidExponentError when the exact rule passes
-    ``norms._MAX_GRID`` nodes, or the heuristic search would hold more than
-    ``_MAX_GRID`` values (its restarts times those nodes).
+    Even p raises InvalidExponentError, and p = inf UnsupportedNormError,
+    when the exact or sup grid passes ``norms._MAX_GRID`` nodes, or the
+    heuristic search would hold more than ``_MAX_GRID`` values (its
+    restarts times those nodes).
     """
     if sample.m < 1:
         raise InvalidSampleError("empty sample")

@@ -10,10 +10,11 @@ non-even p. :func:`_refine` doubles such a grid until two successive values
 agree (norms to ``QUAD_STOP``, relative, which leaves them accurate to about
 1e-8 for the well-scaled functions this toolkit produces), and never past
 ``_MAX_GRID`` nodes. The exact, sup and handle rules refuse a space whose
-grid would pass ``_MAX_GRID`` before anything is built.
+grid would pass ``_MAX_GRID``, and :func:`_search_capped` a sphere search
+whose restarts times grid nodes would, before anything is built.
 
-Torus sup norms are lower estimates: grid searches with local refinement
-for elements, a maximum on the fixed handle grid for other functions.
+Torus sup norms are lower estimates: grid searches with box scans for
+elements, a maximum on the fixed handle grid for other functions.
 Finite-domain norms are exact weighted sums.
 """
 
@@ -38,6 +39,7 @@ from .spaces import (
     Subspace,
     TrigSpace,
     evaluate,
+    product_rows,
 )
 from .spaces import torus_grid  # noqa: F401  (part of this module's interface)
 
@@ -134,6 +136,14 @@ def _capped(sizes, error, what):
     return sizes
 
 
+def _search_capped(rows, sizes, error, what):
+    """Raises ``error`` when ``rows`` restarts over a grid of ``sizes`` would hold over ``_MAX_GRID`` values."""
+    nodes = math.prod(sizes)
+    if rows * nodes > _MAX_GRID:
+        raise error(f"{what} needs a {nodes}-node grid; the heuristic search would hold "
+                    f"{rows} x {nodes} values, more than {_MAX_GRID}")
+
+
 def _exact_sizes(space: Subspace, p):
     """Nodes per axis of :func:`power_rule`'s exact rule at even integer p,
     ``p * degree + 1``, at most ``_MAX_GRID`` in all (InvalidExponentError)."""
@@ -209,25 +219,6 @@ def handle_norm_p(handle, space: Subspace, p) -> float:
 # sup norm
 
 
-def _golden_max(fn, lo, hi, iters=60):
-    """Golden-section maximization of a scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
 def _sup_sizes(space: Subspace):
     """Nodes per dimension of the sup search over elements of the space, at
     most ``_MAX_GRID`` in all (UnsupportedNormError)."""
@@ -245,9 +236,12 @@ def _handle_sizes(space: Subspace):
 def sup_argmax(f: CoefficientVector):
     """Lower estimate of ``max |f|`` together with a maximizing point.
 
-    Torus search: an equispaced grid with at least ``64 * degree`` nodes
-    per dimension, followed by coordinate-wise golden-section refinement.
-    Finite domains are scanned exactly.
+    Torus search: the largest modulus on the :func:`_sup_sizes` grid, then
+    20 scans, each one basis call, of a box of 9 nodes per axis around the
+    best point so far, reaching one grid spacing to each side and then a
+    quarter as far each time. The point moves only on a strict improvement,
+    so the float returned is never below the grid maximum. Finite domains
+    are scanned exactly.
     """
     space = f.space
     sizes = _sup_sizes(space)
@@ -255,22 +249,16 @@ def sup_argmax(f: CoefficientVector):
     vals = np.abs(evaluate(f, grid))
     j = int(np.argmax(vals))
     best_val = float(vals[j])
-    x = np.atleast_1d(grid[j]).copy()
+    x = np.atleast_1d(grid[j])
     if not sizes:  # a finite domain has no coordinates to refine
         return best_val, x
-    for _ in range(1 if len(sizes) == 1 else 2):
-        for axis, n in enumerate(sizes):
-            h = TWO_PI / n
-
-            def along(t, _axis=axis):
-                y = x.copy()
-                y[_axis] += t
-                return abs(evaluate(f, y[None, :])[0])
-
-            t_best, v = _golden_max(along, -h, h)
-            if v > best_val:
-                best_val = v
-                x[axis] += t_best
+    ticks = np.linspace(-1.0, 1.0, 9)
+    for k in range(20):
+        box = x + product_rows([(ticks * (TWO_PI / n / 4 ** k))[:, None] for n in sizes])
+        vals = np.abs(evaluate(f, box))
+        j = int(np.argmax(vals))
+        if vals[j] > best_val:
+            best_val, x = float(vals[j]), box[j]
     return best_val, np.mod(x, TWO_PI)
 
 
@@ -441,10 +429,9 @@ def nikolskii_constant(space: Subspace, q) -> NikolskiiEstimate:
     # the conjugated-peak start is the exact extremizer for flat systems; the
     # peak is at the grid's first point (the torus origin, or point 0)
     starts = [np.conj(Vs[0]), np.ones(n, dtype=complex)]
-    _, c, _ = _optim.extremize_ratio(Vs, np.full(Vs.shape[0], 1.0 / Vs.shape[0]), Vq, gq,
-                                     _optim.SMOOTH_SUP_P, restarts=6, maximize=True,
-                                     seed=(101, n, int(round(q * 1000))), extra_starts=starts,
-                                     den_p=q)
+    _, (c,), _ = _optim.extremize_ratio(Vs, np.full(Vs.shape[0], 1.0 / Vs.shape[0]), Vq, gq,
+                                        _optim.SMOOTH_SUP_P, restarts=6, maximize=(True,), den_p=q,
+                                        seed=((101, n, int(round(q * 1000))),), extra_starts=starts)
     f = CoefficientVector(space, c)
     M = sup_argmax(f)[0] / max(norm_p(f, q), 1e-300)
     return NikolskiiEstimate(q, M, M / n ** (1.0 / q), "grid-search", Vs.shape[0])

@@ -156,6 +156,46 @@ def test_sup_against_dense_grid():
     assert norm_sup(f) == pytest.approx(dense, rel=1e-6)
 
 
+def test_norm_sup_makes_one_basis_call_per_box_scan(monkeypatch):
+    # one call on the 512-node grid and one per box scan, 20 in all
+    rng = np.random.default_rng(11)
+    sp = full_trig_space(8)
+    f = CoefficientVector(sp, rng.standard_normal(17) + 1j * rng.standard_normal(17))
+    grid_max = float(np.max(np.abs(sp.basis_values(torus_grid([512])) @ f.coefficients)))
+    calls = []
+    basis_values = spaces.TrigSpace.basis_values
+
+    def counting(self, points):
+        calls.append(len(points))
+        return basis_values(self, points)
+
+    monkeypatch.setattr(spaces.TrigSpace, "basis_values", counting)
+    value = norm_sup(f)
+    assert len(calls) == 21
+    assert type(value) is float
+    assert value >= grid_max
+
+
+def test_sup_argmax_in_two_dimensions_matches_a_dense_grid():
+    # the box scan moves both axes at once; the reference maximum comes from
+    # a 257 x 257 grid over the torus and three 201 x 201 grids, each
+    # reaching two node spacings of the one before around its best node
+    rng = np.random.default_rng(4)
+    sp = tensor_product([full_trig_space(2), full_trig_space(1)])
+    f = CoefficientVector(sp, rng.standard_normal(15) + 1j * rng.standard_normal(15))
+    value, x = norms.sup_argmax(f)
+    centre, reach = np.full(2, math.pi), math.pi
+    for n in (257, 201, 201, 201):
+        axis = np.linspace(-reach, reach, n)
+        pts = centre + np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        vals = np.abs(sp.basis_values(pts) @ f.coefficients)
+        centre, dense = pts[int(np.argmax(vals))], float(np.max(vals))
+        reach = 4 * reach / (n - 1)
+    assert type(value) is float
+    assert value == pytest.approx(dense, rel=1e-9)
+    assert abs(sp.basis_values(x[None, :]) @ f.coefficients)[0] == pytest.approx(value, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # discrete norms
 
@@ -292,6 +332,14 @@ def test_sup_grids_past_max_grid_are_refused_before_building(monkeypatch):
                  lambda: handle_norm_p(target, CUBE3, math.inf)):
         with pytest.raises(UnsupportedNormError, match="192 x 192 x 192 grid nodes"):
             call()
+
+
+def test_3d_sup_certificate_is_refused_before_any_grid_is_built(monkeypatch):
+    # 66 restarts over the 64^3 sup grid: this ran 165 s at 1.1 GB
+    sample = generate_points(AXES3, "iid", 20, seed=3)
+    monkeypatch.setattr(spaces, "torus_grid", lambda sizes: pytest.fail(f"built {sizes}"))
+    with pytest.raises(UnsupportedNormError, match="66 x 262144 values"):
+        certify(AXES3, sample, math.inf)
 
 
 def test_degree_one_3d_sup_search_still_runs(monkeypatch):

@@ -120,13 +120,19 @@ def _case(name):
 CASES = ("lacunary-min", "p3", "sup", "lacunary-max")
 
 
+def one_sense(kw):
+    """``kw`` of a case, with its sense and seed as the one-sense tuples of
+    ``extremize_ratio``."""
+    return dict(kw, maximize=(kw.get("maximize", False),), seed=(kw["seed"],))
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_stacked_halving_matches_sequential_loop(name):
     args, kw = _case(name)
     ref_ratio, ref_c, ref_report = sequential_extremize_ratio(*args, **kw)
     # a denominator exponent equal to p must not move a bit either
     for extra in ({}, {"den_p": args[4]}):
-        ratio, c, report = _optim.extremize_ratio(*args, **kw, **extra)
+        (ratio,), (c,), report = _optim.extremize_ratio(*args, **one_sense(kw), **extra)
         assert ratio == ref_ratio
         assert np.array_equal(c, ref_c)
         assert {k: v for k, v in report.items() if k != "evaluations"} == \
@@ -146,8 +152,8 @@ def test_denominator_exponent_ratio_is_recomputable(p, q):
     C = np.random.default_rng(5).standard_normal((4_000, 3, 2)) @ np.array([1.0, 1j])
     sampled = ((np.abs(C @ A.T) ** p) @ w) / ((np.abs(C @ B.T) ** q) @ gamma) ** (p / q)
     for maximize in (False, True):
-        ratio, c, _ = _optim.extremize_ratio(A, w, B, gamma, p, restarts=8, maximize=maximize,
-                                             den_p=q)
+        (ratio,), (c,), _ = _optim.extremize_ratio(A, w, B, gamma, p, restarts=8, maximize=(maximize,),
+                                                   den_p=q)
         num = sum(wj * abs(np.dot(row, c)) ** p for wj, row in zip(w, A))
         den = sum(gj * abs(np.dot(row, c)) ** q for gj, row in zip(gamma, B))
         assert ratio == pytest.approx(num / den ** (p / q), rel=1e-10)
@@ -165,14 +171,14 @@ def test_stacked_calls_stay_within_restart_count(name, monkeypatch):
 
     monkeypatch.setattr(_optim, "_power_sum", recording)
     args, kw = _case(name)
-    _, _, report = _optim.extremize_ratio(*args, **kw)
+    _, _, report = _optim.extremize_ratio(*args, **one_sense(kw))
     assert max(rows) <= report["restarts"]
     assert len(rows) == 2 * report["evaluations"]
 
 
 def test_stacked_halving_saves_evaluations_on_lacunary_case():
     args, kw = _case("lacunary-min")
-    _, _, report = _optim.extremize_ratio(*args, **kw)
+    _, _, report = _optim.extremize_ratio(*args, **one_sense(kw))
     _, _, ref_report = sequential_extremize_ratio(*args, **kw)
     assert report["iterations"] == ref_report["iterations"]
     assert report["restarts"] == ref_report["restarts"]
@@ -261,8 +267,8 @@ def test_stacked_senses_agree_with_single_sense_calls():
     for args, kw in _two_sense_cases():
         (lo, hi), (c_lo, c_hi), report = _optim.extremize_ratio(
             *args, maximize=(False, True), seed=((0xC1, 0), (0xC2, 0)), **kw)
-        lo1, _, report1 = _optim.extremize_ratio(*args, seed=(0xC1, 0), **kw)
-        hi1, _, _ = _optim.extremize_ratio(*args, maximize=True, seed=(0xC2, 0), **kw)
+        (lo1,), _, report1 = _optim.extremize_ratio(*args, seed=((0xC1, 0),), **kw)
+        (hi1,), _, _ = _optim.extremize_ratio(*args, maximize=(True,), seed=((0xC2, 0),), **kw)
         assert lo == pytest.approx(lo1, rel=1e-9)
         assert hi == pytest.approx(hi1, rel=1e-9)
         assert report["restarts"] == 2 * report1["restarts"]
