@@ -18,8 +18,10 @@ lowest restart index.
 
 ``minimize_residual`` minimizes the weighted p-th power sum of a residual
 for finite p by IRLS with step halving, and ``lawson`` is the discrete
-minimax fit (Lawson's reweighting) for p = inf. Both solve every reweighted
-least-squares problem of a call with one thin QR of the weighted basis.
+minimax fit (Lawson's reweighting) for p = inf. Both take one thin QR of
+the weighted basis and R's pseudo-inverse per call; each reweighted
+least-squares step is then one N x N Cholesky-tested solve in the QR
+coordinates, with an eigenvalue fallback for weightings too near singular.
 Best approximation runs them on a quadrature grid and recovery on the
 samples.
 """
@@ -191,20 +193,50 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=(Fa
     return tuple(float(ratios[b]) for b in best), tuple(C[b] for b in best), report
 
 
+# The squared pivot ratio of a Cholesky factor of G is a lower estimate of
+# cond(G), 270 times too low at worst over recover-crosscheck's Lawson
+# steps, and a singular G can leave a last squared pivot of 64 eps
+# relative; the fast path so stops this factor short of lstsq's cutoff.
+_PIVOT_MARGIN = 1e4
+
+
 def _weighted_solver(U, y, w):
-    """``solve(s)``: a minimizer of ``sum s w |y - U c|^2`` and the rank of U,
-    from one thin QR ``sqrt(w) U = Q R``: ``(Q^H S Q) d = Q^H S sqrt(w) y``,
-    then ``R c = d``, both by least squares (minimum-norm if U is singular)."""
+    """``solve(s)``: the minimum-norm minimizer of ``sum s w |y - U c|^2`` and
+    the rank of U, from one thin QR ``sqrt(w) U = Q R`` per call.
+
+    A step solves ``G d = Q^H S sqrt(w) y`` with ``G = Q^H S Q`` of order k
+    by one LAPACK solve, after a Cholesky factor of G has shown it positive
+    definite with a condition number, estimated from the factor's diagonal,
+    of at most ``1 / (_PIVOT_MARGIN k eps)``; then ``c = R^+ d``, with R's
+    pseudo-inverse taken once per call by ``lstsq(R, I)``, whose rank is
+    the one reported. Past ``1 / (k eps)`` an SVD solve of G drops
+    directions, so a step that fails the test keeps the eigenvectors of G
+    that ``lstsq(G, .)`` would keep, and solves the weighted problem
+    restricted to them for its minimum-norm c by least squares.
+    """
     sw = np.sqrt(w)
     Q, R = np.linalg.qr(U * sw[:, None])
     b = sw * y
+    k = R.shape[0]
+    R_pinv, _, rank, _ = np.linalg.lstsq(R, np.eye(k), rcond=None)
+    rank = int(rank)
+    cut = k * np.finfo(float).eps  # numpy lstsq's default rcond for an order-k matrix
 
     def solve(s):
         QhS = np.conj(Q)
         QhS *= s[:, None]
-        d = np.linalg.lstsq(QhS.T @ Q, QhS.T @ b, rcond=None)[0]
-        c, _, rank, _ = np.linalg.lstsq(R, d, rcond=None)
-        return c, int(rank)
+        G, h = QhS.T @ Q, QhS.T @ b
+        try:
+            pivots = np.linalg.cholesky(G).diagonal().real
+            if (pivots.min() / pivots.max()) ** 2 >= _PIVOT_MARGIN * cut:
+                return R_pinv @ np.linalg.solve(G, h), rank
+        except np.linalg.LinAlgError:
+            pass
+        lam, V = np.linalg.eigh(G)
+        keep = lam > cut * lam[-1]
+        root, Vh = np.sqrt(lam[keep]), np.conj(V[:, keep]).T
+        c = np.linalg.lstsq(root[:, None] * (Vh @ R), (Vh @ h) / root, rcond=None)[0]
+        return c, rank
 
     return solve
 
@@ -216,10 +248,11 @@ def lawson(U, y, w):
     """Discrete minimax fit ``min_c max_j |y_j - (U c)_j|`` by Lawson's reweighting.
 
     Starts from the positive weights ``w`` and multiplies them by the
-    residual moduli after each weighted least-squares step. Stops when the
-    maximum residual moved by at most ``0.1 * MINIMAX_REL`` relative over
-    the last 11 steps, or after 300 steps; this stall rule does not bound
-    the relative error by ``MINIMAX_REL``.
+    residual moduli after each weighted least-squares step, one solve of
+    :func:`_weighted_solver` each. Stops when the maximum residual moved by
+    at most ``0.1 * MINIMAX_REL`` relative over the last 11 steps, or after
+    300 steps; this stall rule does not bound the relative error by
+    ``MINIMAX_REL``.
 
     Returns ``(c, max_residual, report)`` for the best iterate; the report
     holds ``iterations``, ``rank`` (of U) and ``lower_bound``. With the
@@ -260,6 +293,19 @@ _CLIP = 1e-12  # residual moduli and weights are clipped at this fraction of the
 RECOVERY_TOL = 1e-8  # gradient norm, relative to the starting one, that ends the solve
 
 
+def _dead_step(r, Ud):
+    """``2^-55 min |r_c| / |Ud_c|`` over the real and imaginary parts with
+    ``r_c != 0`` (+inf if there are none; a part with ``Ud_c = 0`` gives
+    +inf). At a step t at most this, ``t Ud_c`` is below a quarter of an
+    ulp of ``r_c``, so ``r - t Ud`` rounds back to r in every nonzero part
+    and can only grow in the zero parts: no weighted power sum of it is
+    below that of r."""
+    a = np.asarray(r, dtype=complex).view(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(a / np.asarray(Ud, dtype=complex).view(float))
+    return 2.0 ** -55 * float(np.min(ratio, where=a != 0, initial=math.inf))
+
+
 def minimize_residual(U, y, w, p, c):
     """Minimize ``sum w |y - U c|^p`` over c for finite p >= 1.
 
@@ -268,9 +314,11 @@ def minimize_residual(U, y, w, p, c):
     least-squares problem with the QR of ``_weighted_solver``, residual
     moduli and weights clipped below relative to their largest, then takes
     the first of t0, t0/2, ... times the step to its minimizer that lowers
-    the sum by more than ``_ACCEPT`` relative. For real residuals the sum's
-    Hessian is ``p (p - 1)`` times the IRLS matrix, so ``t0 = 1 / (p - 1)``
-    is the Newton step; it is capped at 2, as the sum is not smooth at zero
+    the sum by more than ``_ACCEPT`` relative; the halvings end at
+    ``_T_MIN``, or sooner at :func:`_dead_step`, below which no trial can
+    change the residual. For real residuals the sum's Hessian is
+    ``p (p - 1)`` times the IRLS matrix, so ``t0 = 1 / (p - 1)`` is the
+    Newton step; it is capped at 2, as the sum is not smooth at zero
     residuals for p near 1. The solve stops when the gradient norm is at
     most ``RECOVERY_TOL`` times the starting one (``gradient``; at once at
     p = 2), when no step lowers the sum (``no-step``) or after 300 steps
@@ -299,7 +347,8 @@ def minimize_residual(U, y, w, p, c):
         direction = solve(np.maximum(omega, _CLIP * np.max(omega)) / w)[0] - c
         Ud = U @ direction
         t = 1.0 / max(p - 1.0, 0.5)
-        while t > _T_MIN:
+        t_end = max(_T_MIN, _dead_step(r, Ud))
+        while t > t_end:
             r_t = r - t * Ud
             val = float(np.sum(w * np.abs(r_t) ** p))
             if val < obj * (1.0 - _ACCEPT):

@@ -58,6 +58,7 @@ __all__ = [
 
 _MAX_GRID = 1 << 22  # refinement cap on the total number of quadrature nodes
 QUAD_STOP = 1e-9  # relative agreement of two successive refined values that ends refinement
+_NIKOLSKII_ROWS = 8  # rows of the q != 2 Nikolskii search: two fixed starts and six random restarts
 
 
 class SampleVector:
@@ -415,7 +416,9 @@ def nikolskii_constant(space: Subspace, q) -> NikolskiiEstimate:
     :func:`_optim.extremize_ratio` maximizes the ``SMOOTH_SUP_P`` power mean
     on the :func:`_sup_sizes` grid over ``||f||_q`` on :func:`power_rule`'s,
     and M is the ratio ``sup_argmax(f) / norm_p(f, q)`` at the element it
-    returns.
+    returns. A space whose ``_NIKOLSKII_ROWS`` search rows times sup nodes
+    pass ``_MAX_GRID`` is refused (UnsupportedNormError) before any grid is
+    built.
     """
     checked_exponent(q, finite=True)
     n = space.dim
@@ -423,14 +426,17 @@ def nikolskii_constant(space: Subspace, q) -> NikolskiiEstimate:
         t = christoffel_sup(space)
         M = t * math.sqrt(n)
         return NikolskiiEstimate(q, M, M / n ** 0.5, "analytic", 0)
+    sizes = _sup_sizes(space)
+    _search_capped(_NIKOLSKII_ROWS, sizes, UnsupportedNormError, "the Nikolskii search")
     orthonormal_transform(space)  # rejects rank-deficient bases up front
     Vq, gq = power_rule(space, q)
-    Vs = space.basis_values(space.grid(_sup_sizes(space)))
+    Vs = space.basis_values(space.grid(sizes))
     # the conjugated-peak start is the exact extremizer for flat systems; the
     # peak is at the grid's first point (the torus origin, or point 0)
     starts = [np.conj(Vs[0]), np.ones(n, dtype=complex)]
     _, (c,), _ = _optim.extremize_ratio(Vs, np.full(Vs.shape[0], 1.0 / Vs.shape[0]), Vq, gq,
-                                        _optim.SMOOTH_SUP_P, restarts=6, maximize=(True,), den_p=q,
+                                        _optim.SMOOTH_SUP_P, restarts=_NIKOLSKII_ROWS - len(starts),
+                                        maximize=(True,), den_p=q,
                                         seed=((101, n, int(round(q * 1000))),), extra_starts=starts)
     f = CoefficientVector(space, c)
     M = sup_argmax(f)[0] / max(norm_p(f, q), 1e-300)

@@ -64,10 +64,15 @@ class RecoveryResult:
 
 
 class RecoveryBoundReport:
-    """One verified instance of the recovery error bound."""
+    """One verified instance of the recovery error bound.
+
+    ``optimizer_report`` is the report of the :func:`lpw_recover` solve the
+    left side was measured on: ``iterations`` and ``rank``, with ``stop``
+    and ``final_grad_norm`` for finite p or ``lower_bound`` at p = inf.
+    """
 
     def __init__(self, c1_norm, c2_weights, bound_constant, lhs, rhs, slack,
-                 d_inf, p, advisory=False):
+                 d_inf, p, advisory=False, optimizer_report=None):
         self.c1_norm = float(c1_norm)
         self.c2_weights = float(c2_weights)
         self.bound_constant = float(bound_constant)
@@ -77,6 +82,7 @@ class RecoveryBoundReport:
         self.d_inf = float(d_inf)
         self.p = float(p)
         self.advisory = bool(advisory)
+        self.optimizer_report = optimizer_report or {}
 
     @property
     def holds(self) -> bool:
@@ -94,6 +100,7 @@ class RecoveryBoundReport:
             "d_inf": self.d_inf,
             "holds": self.holds,
             "advisory": self.advisory,
+            "optimizer": self.optimizer_report,
         }
 
 
@@ -189,7 +196,7 @@ def verify_recovery(f, space: Subspace, sample: PointSet, p,
     rhs = bound * d_inf
     return RecoveryBoundReport(c1_norm, float(np.sum(w)), bound, lhs, rhs,
                                RECOVERY_SLACK, d_inf, p,
-                               advisory=advisory)
+                               advisory=advisory, optimizer_report=rec.optimizer_report)
 
 
 class LpwRegressor:

@@ -74,6 +74,18 @@ def test_recover_kind_anchor():
     assert report.summary["advisory"] is False
 
 
+def test_recover_record_holds_the_solver_report(tmp_path):
+    # the step count and stop reason reach report.json; the summary keeps its four keys
+    for p, last in ((4, "stop"), ("inf", "lower_bound")):
+        code, out = run_cli(tmp_path / str(p), dict(RECOVER, p=p))
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        optimizer = report["records"][0]["optimizer"]
+        assert optimizer["iterations"] >= 1 and optimizer["rank"] == 3
+        assert last in optimizer
+        assert set(report["summary"]) == {"lhs", "rhs", "holds", "advisory"}
+
+
 def test_recover_kind_sup_norm_is_advisory(tmp_path):
     # the sup-norm certificate is always heuristic, so p = inf ran into
     # HeuristicCertificateError (exit 2) before the CLI allowed it

@@ -348,6 +348,32 @@ def test_degree_one_3d_sup_search_still_runs(monkeypatch):
     assert norm_sup(CoefficientVector(AXES3, np.ones(4))) == pytest.approx(4.0, rel=1e-12)
 
 
+def test_3d_nikolskii_search_is_refused_before_any_grid_is_built(monkeypatch):
+    # 8 search rows over the 128^3 sup grid of degree 2 on three axes
+    space = make_trig_space(3, [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    monkeypatch.setattr(spaces, "torus_grid", lambda sizes: pytest.fail(f"built {sizes}"))
+    with pytest.raises(UnsupportedNormError, match="8 x 2097152 values"):
+        nikolskii_constant(space, 3)
+
+
+def test_degree_one_3d_nikolskii_search_passes_the_cap(monkeypatch):
+    # 8 x 64^3 values are allowed; the search itself takes about 25 s, so
+    # the test stops where its 64^3 sup grid would be built
+    class SupGrid(Exception):
+        pass
+
+    build = spaces.torus_grid
+
+    def stop_at_sup_grid(sizes):
+        if list(sizes) == [64, 64, 64]:
+            raise SupGrid
+        return build(sizes)
+
+    monkeypatch.setattr(spaces, "torus_grid", stop_at_sup_grid)
+    with pytest.raises(SupGrid):
+        nikolskii_constant(AXES3, 3)
+
+
 @pytest.mark.parametrize("p", [2, 3, math.inf])
 def test_best_approx_sends_sampled_values_to_lpw_recover(p):
     # a sample is not an exact quadrature of the domain, so best_approx

@@ -367,3 +367,25 @@ def test_verify_recovery_p_inf_advisory_flag():
                              allow_heuristic=True)
     assert report.advisory
     assert report.holds
+
+
+@pytest.mark.parametrize("p,keys", [(4, {"iterations", "rank", "stop", "final_grad_norm"}),
+                                    (math.inf, {"iterations", "rank", "lower_bound"})])
+def test_verify_recovery_keeps_the_solver_report(p, keys, monkeypatch):
+    # the report of the lpw_recover fit the left side was measured on
+    sp = full_trig_space(8)
+    pts = generate_points(sp, "equispaced", 33)
+    fits = []
+
+    def recording(*args):
+        fits.append(lpw_recover(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(recovery, "lpw_recover", recording)
+    report = verify_recovery(lambda x: np.abs(np.sin(x)) ** 3, sp, pts, p, allow_heuristic=True)
+    (fit,) = fits
+    assert report.optimizer_report == fit.optimizer_report
+    assert set(report.optimizer_report) == keys
+    assert report.to_dict()["optimizer"] == fit.optimizer_report
+    assert report.optimizer_report["iterations"] >= 1
+    assert report.optimizer_report["rank"] == sp.dim
