@@ -20,8 +20,9 @@ lowest restart index.
 for finite p by IRLS with step halving, and ``lawson`` is the discrete
 minimax fit (Lawson's reweighting) for p = inf. Both take one thin QR of
 the weighted basis and R's pseudo-inverse per call; each reweighted
-least-squares step is then one N x N Cholesky-tested solve in the QR
-coordinates, with an eigenvalue fallback for weightings too near singular.
+least-squares step is then one Cholesky-tested solve of order N, or of
+U's rank if that is lower, in the QR coordinates, with an eigenvalue
+fallback for weightings too near singular.
 Best approximation runs them on a quadrature grid and recovery on the
 samples.
 """
@@ -209,18 +210,24 @@ def _weighted_solver(U, y, w):
     definite with a condition number, estimated from the factor's diagonal,
     of at most ``1 / (_PIVOT_MARGIN k eps)``; then ``c = R^+ d``, with R's
     pseudo-inverse taken once per call by ``lstsq(R, I)``, whose rank is
-    the one reported. Past ``1 / (k eps)`` an SVD solve of G drops
-    directions, so a step that fails the test keeps the eigenvectors of G
-    that ``lstsq(G, .)`` would keep, and solves the weighted problem
-    restricted to them for its minimum-norm c by least squares.
+    the one reported. When that rank is below R's row count, d must lie in
+    the range of R, so Q and R are first restricted to R's leading left
+    singular vectors and G is of order rank. Past ``1 / (k eps)`` an SVD
+    solve of G drops directions, so a step that fails the test keeps the
+    eigenvectors of G that ``lstsq(G, .)`` would keep, and solves the
+    weighted problem restricted to them for its minimum-norm c by least
+    squares.
     """
     sw = np.sqrt(w)
     Q, R = np.linalg.qr(U * sw[:, None])
     b = sw * y
-    k = R.shape[0]
-    R_pinv, _, rank, _ = np.linalg.lstsq(R, np.eye(k), rcond=None)
+    R_pinv, _, rank, _ = np.linalg.lstsq(R, np.eye(R.shape[0]), rcond=None)
     rank = int(rank)
-    cut = k * np.finfo(float).eps  # numpy lstsq's default rcond for an order-k matrix
+    if 0 < rank < R.shape[0]:  # at rank 0, R^+ = 0 already gives c = 0
+        L, sigma, Vh = np.linalg.svd(R, full_matrices=False)
+        Q, R = Q @ L[:, :rank], sigma[:rank, None] * Vh[:rank]
+        R_pinv = np.conj(Vh[:rank]).T / sigma[:rank]
+    cut = R.shape[0] * np.finfo(float).eps  # numpy lstsq's default rcond for an order-k matrix
 
     def solve(s):
         QhS = np.conj(Q)
@@ -293,19 +300,6 @@ _CLIP = 1e-12  # residual moduli and weights are clipped at this fraction of the
 RECOVERY_TOL = 1e-8  # gradient norm, relative to the starting one, that ends the solve
 
 
-def _dead_step(r, Ud):
-    """``2^-55 min |r_c| / |Ud_c|`` over the real and imaginary parts with
-    ``r_c != 0`` (+inf if there are none; a part with ``Ud_c = 0`` gives
-    +inf). At a step t at most this, ``t Ud_c`` is below a quarter of an
-    ulp of ``r_c``, so ``r - t Ud`` rounds back to r in every nonzero part
-    and can only grow in the zero parts: no weighted power sum of it is
-    below that of r."""
-    a = np.asarray(r, dtype=complex).view(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(a / np.asarray(Ud, dtype=complex).view(float))
-    return 2.0 ** -55 * float(np.min(ratio, where=a != 0, initial=math.inf))
-
-
 def minimize_residual(U, y, w, p, c):
     """Minimize ``sum w |y - U c|^p`` over c for finite p >= 1.
 
@@ -315,8 +309,7 @@ def minimize_residual(U, y, w, p, c):
     moduli and weights clipped below relative to their largest, then takes
     the first of t0, t0/2, ... times the step to its minimizer that lowers
     the sum by more than ``_ACCEPT`` relative; the halvings end at
-    ``_T_MIN``, or sooner at :func:`_dead_step`, below which no trial can
-    change the residual. For real residuals the sum's Hessian is
+    ``_T_MIN``. For real residuals the sum's Hessian is
     ``p (p - 1)`` times the IRLS matrix, so ``t0 = 1 / (p - 1)`` is the
     Newton step; it is capped at 2, as the sum is not smooth at zero
     residuals for p near 1. The solve stops when the gradient norm is at
@@ -347,8 +340,7 @@ def minimize_residual(U, y, w, p, c):
         direction = solve(np.maximum(omega, _CLIP * np.max(omega)) / w)[0] - c
         Ud = U @ direction
         t = 1.0 / max(p - 1.0, 0.5)
-        t_end = max(_T_MIN, _dead_step(r, Ud))
-        while t > t_end:
+        while t > _T_MIN:
             r_t = r - t * Ud
             val = float(np.sum(w * np.abs(r_t) ** p))
             if val < obj * (1.0 - _ACCEPT):

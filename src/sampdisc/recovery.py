@@ -72,7 +72,7 @@ class RecoveryBoundReport:
     """
 
     def __init__(self, c1_norm, c2_weights, bound_constant, lhs, rhs, slack,
-                 d_inf, p, advisory=False, optimizer_report=None):
+                 d_inf, p, optimizer_report, advisory=False):
         self.c1_norm = float(c1_norm)
         self.c2_weights = float(c2_weights)
         self.bound_constant = float(bound_constant)
@@ -82,7 +82,7 @@ class RecoveryBoundReport:
         self.d_inf = float(d_inf)
         self.p = float(p)
         self.advisory = bool(advisory)
-        self.optimizer_report = optimizer_report or {}
+        self.optimizer_report = optimizer_report
 
     @property
     def holds(self) -> bool:
@@ -195,8 +195,8 @@ def verify_recovery(f, space: Subspace, sample: PointSet, p,
     c1_norm = cert.c1_pow if p == math.inf else cert.c1_pow ** (1.0 / p)
     rhs = bound * d_inf
     return RecoveryBoundReport(c1_norm, float(np.sum(w)), bound, lhs, rhs,
-                               RECOVERY_SLACK, d_inf, p,
-                               advisory=advisory, optimizer_report=rec.optimizer_report)
+                               RECOVERY_SLACK, d_inf, p, rec.optimizer_report,
+                               advisory=advisory)
 
 
 class LpwRegressor:

@@ -350,11 +350,28 @@ def _solver_inputs(degree, m, seed=3):
     return U, y, w / w.sum(), rng.uniform(0.5, 2.0, m)
 
 
-@pytest.mark.parametrize("degree,m,alive", [(8, 120, None), (3, 5, None), (8, 120, 16)])
-def test_weighted_solver_matches_svd_lstsq(degree, m, alive, monkeypatch):
-    # full rank; m < N (degree 3 has N = 7); and only N - 1 = 16 weights
-    # above 1e-300, which leaves the Cholesky test to the fallback
-    U, y, w, s = _solver_inputs(degree, m)
+def _aliased_inputs(spectrum, m, seed=5):
+    # equispaced nodes alias frequencies equal modulo m, so U has m >= N
+    # rows and rank below N; with non-uniform s the step must project onto
+    # the range of R in the weighted norm, not the Euclidean one
+    space = make_trig_space(1, [[k] for k in spectrum])
+    U = space.basis_values(2 * np.pi * np.arange(m)[:, None] / m)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    w = rng.uniform(0.5, 1.5, m)
+    return U, y, w / w.sum(), rng.uniform(0.1, 10.0, m)
+
+
+@pytest.mark.parametrize("inputs,alive", [
+    (lambda: _solver_inputs(8, 120), None), (lambda: _solver_inputs(3, 5), None),
+    (lambda: _solver_inputs(8, 120), 16), (lambda: _aliased_inputs([0, 1, 4], 4), None),
+    (lambda: _aliased_inputs([-4, -1, 0, 2, 4, 6], 6), None)],
+    ids=["full-rank", "m<N", "N-1-live", "aliased-3-of-4", "aliased-6-of-6"])
+def test_weighted_solver_matches_svd_lstsq(inputs, alive, monkeypatch):
+    # full rank; m < N (degree 3 has N = 7); only N - 1 = 16 weights above
+    # 1e-300, which leaves the Cholesky test to the fallback; and U of rank
+    # 2 and 4 on aliased equispaced nodes
+    U, y, w, s = inputs()
     if alive is not None:
         s[alive:] = 1e-300
     eigh = np.linalg.eigh
@@ -363,7 +380,7 @@ def test_weighted_solver_matches_svd_lstsq(degree, m, alive, monkeypatch):
     c, rank = _optim._weighted_solver(U, y, w)(s)
     ref = svd_lstsq(U, y, s * w)
     assert np.linalg.norm(c - ref) <= 1e-10 * np.linalg.norm(ref)
-    assert rank == min(m, U.shape[1])
+    assert rank == np.linalg.matrix_rank(U)
     assert len(fallbacks) == (alive is not None)
 
 
@@ -412,76 +429,3 @@ def test_lawson_matches_two_lstsq_loop(seed):
         assert best == float(np.max(np.abs(y - U @ c)))
         assert report["lower_bound"] <= best
         assert report["rank"] == 17
-
-
-def plain_minimize_residual(U, y, w, p, c):
-    """Frozen reference: minimize_residual with the halving loop that runs
-    every trial down to ``_T_MIN``."""
-    solve = _optim._weighted_solver(U, y, w)
-    report = {}
-    if c is None:
-        c, report["rank"] = solve(np.ones_like(w))
-    r = y - U @ c
-    obj = float(np.sum(w * np.abs(r) ** p))
-    g = _optim.residual_gradient(U, w, r, p)
-    g_stop = _optim.RECOVERY_TOL * float(np.linalg.norm(g))
-    stop = "cap"
-    for iterations in range(1, 301):
-        if p == 2 or float(np.linalg.norm(g)) <= g_stop:
-            stop = "gradient"
-            break
-        a = np.abs(r)
-        a = np.maximum(a, _optim._CLIP * np.max(a))
-        omega = w * a ** (p - 2.0)
-        direction = solve(np.maximum(omega, _optim._CLIP * np.max(omega)) / w)[0] - c
-        Ud = U @ direction
-        t = 1.0 / max(p - 1.0, 0.5)
-        while t > _optim._T_MIN:
-            r_t = r - t * Ud
-            val = float(np.sum(w * np.abs(r_t) ** p))
-            if val < obj * (1.0 - _optim._ACCEPT):
-                break
-            t *= 0.5
-        else:
-            stop = "no-step"
-            break
-        c, obj, r = c + t * direction, val, r_t
-        g = _optim.residual_gradient(U, w, r, p)
-    report.update(iterations=iterations, final_grad_norm=float(np.linalg.norm(g)), stop=stop)
-    return c, obj, report
-
-
-def _real_trig_fit(m, seed=1):
-    # the real cos/sin basis of degree 8 at m iid nodes and exp(cos x): real
-    # residuals have no rounding-level imaginary parts to hold the cut down
-    x = np.sort(np.random.default_rng(seed).uniform(0.0, 2 * np.pi, m))
-    U = np.column_stack([np.ones(m)] + [f(k * x) for k in range(1, 9) for f in (np.cos, np.sin)])
-    return U, np.exp(np.cos(x)), np.full(m, 1.0 / m), None
-
-
-def _sin_grid_fit():
-    # best_approx(|sin x|^1.5, p) on the degree-8 space: its IRLS on the
-    # 32,768 rows of the L2 projection's grid, from the projection
-    space = make_trig_space(1, [[k] for k in range(-8, 9)])
-    c2, _, (V, gamma, t) = norms._project_l2(lambda x: np.abs(np.sin(x)) ** 1.5, space)
-    return V, t, gamma, c2
-
-
-@pytest.mark.parametrize("fit,p,cut", [(_sin_grid_fit, 1.5, False), (lambda: _real_trig_fit(40), 1.5, True),
-                                       (lambda: _real_trig_fit(40), 4.0, True),
-                                       (lambda: _real_trig_fit(120), 3.0, True)],
-                         ids=["sin-grid-p1.5", "real-40-p1.5", "real-40-p4", "real-120-p3"])
-def test_dead_step_cut_keeps_every_bit(fit, p, cut, monkeypatch):
-    # the cut ends the halvings of a direction early only where no trial
-    # could be accepted, so every output stays as the plain loop's
-    U, y, w, c0 = fit()
-    dead = []
-    dead_step = _optim._dead_step
-    monkeypatch.setattr(_optim, "_dead_step", lambda r, Ud: dead.append(dead_step(r, Ud)) or dead[-1])
-    c, total, report = _optim.minimize_residual(U, y, w, p, c0)
-    ref_c, ref_total, ref_report = plain_minimize_residual(U, y, w, p, c0)
-    assert np.array_equal(c, ref_c)
-    assert total == ref_total
-    assert report == ref_report
-    # the fits marked cut end on no-step with at least 5 halvings to spare
-    assert (report["stop"] == "no-step" and dead[-1] > 32 * _optim._T_MIN) == cut
