@@ -11,13 +11,14 @@ exact: the extreme eigenvalues of the sampled Gram matrix in a basis
 orthonormalized by :func:`norms.orthonormal_transform`. For even integer
 p = 2s on the torus, ``|f|^p = |f^s|^2`` with ``f^s`` in the span of the
 s-fold sumset of the spectrum: the certificate is exact, (1, 1), when the
-sample's frame matrix on that span is the identity to 1e-12. All other
-exponents fall back to randomized-restart optimization and are labeled
-heuristic: the minimum found is only an upper bound on the true lower
-constant, the maximum a lower bound on the upper one. One stacked search
-finds both. At even p on large samples it steers on the same frame matrix,
-at a cost free of the sample size, and each constant is still the direct
-discrete ratio at the element found.
+sample's frame matrix on that span, ``R^H R`` with R the one QR factor of
+the weighted sumset basis at the sample, is the identity to 1e-12. All
+other exponents fall back to randomized-restart optimization and are
+labeled heuristic: the minimum found is only an upper bound on the true
+lower constant, the maximum a lower bound on the upper one. One stacked
+search finds both. At even p on large samples :func:`certify` hands it the
+same R to steer on, at a cost free of the sample size, and each constant is
+still the direct discrete ratio at the element found.
 
 Good point sets are not constructed directly; they are found. The
 module draws random candidates, certifies them a posteriori, and
@@ -237,17 +238,6 @@ def _sample_weights(sample: PointSet) -> tuple[np.ndarray, bool]:
     return np.full(sample.m, 1.0 / sample.m), False
 
 
-def _exact_eigen_certificate(space: Subspace, sample: PointSet, weights, weighted) -> Certificate:
-    U = space.basis_values(sample.points)
-    if not isinstance(space, TrigSpace):  # the torus basis is already orthonormal
-        U = U @ norms.orthonormal_transform(space)
-    lam = np.linalg.eigvalsh(U.conj().T @ (weights[:, None] * U))
-    c1 = max(float(lam[0]), 0.0)
-    c2 = float(lam[-1])
-    return Certificate(2.0, c1, c2, "exact-eigen", "certified",
-                       tolerance=1e-12 * max(c2, 1.0), weighted=weighted)
-
-
 def _sumset_space(space: TrigSpace, s: int) -> TrigSpace:
     """Span of the s-fold sumset ``K + ... + K`` of the spectrum K, built by
     doubling: about ``log2 s`` unions."""
@@ -264,20 +254,16 @@ def _sumset_space(space: TrigSpace, s: int) -> TrigSpace:
         P = plus(P, P)
 
 
-def _heuristic_p_certificate(space, sample, p, weights, weighted, budget, lift=None) -> Certificate:
-    """Both constants from one stacked min/max search of ``extremize_ratio``.
+def _heuristic_p_certificate(space, sample, p, weights, weighted, budget, frame=None) -> Certificate:
+    """Both constants from one stacked min/max search of ``extremize_ratio``,
+    refused (InvalidExponentError) when its restarts times the
+    :func:`norms.power_rule` nodes pass ``norms._MAX_GRID``.
 
-    For p = 2s with the sumset span ``lift``, the search steers on the frame
-    matrix of ``lift`` at the sample (``extremize_ratio``'s numerator hook)
-    when ``m > nodes * |sK|``, nodes those of the exact rule: the direct
-    numerator costs O(m N) per row and evaluation, the lifted one
-    O(nodes (N + |sK|) + |sK|^2). Direct / lifted time of a stacked p = 4
-    call (16 restarts a sense; best of 3; 2 cores, 1 BLAS thread) on five
-    1-D spaces with N = 2-4: 0.74-1.02 at m <= 48, 0.92-1.26 at m = 96,
-    0.96-1.83 at m = 192, 2.5-6.8 at m = 768 and 8.4-13.8 at m = 1,536.
-    The rule lifts lacunary spaces with N = 2, 3, 4 above m = 27, 102 and
-    330. Either way the constants are the direct discrete ratios at the
-    elements found.
+    ``frame = (lift, R)``, the span of the sumset sK at p = 2s and the R
+    factor of its weighted values at the sample, makes the search steer on
+    the frame matrix ``R^H R`` (``extremize_ratio``'s numerator hook);
+    :func:`certify` passes it when it pays. Either way the constants are the
+    direct discrete ratios at the elements found.
     """
     U = space.basis_values(sample.points)
     # adversarial starts: near-null directions of the sampled system
@@ -285,15 +271,14 @@ def _heuristic_p_certificate(space, sample, p, weights, weighted, budget, lift=N
     extras = [vt[-1].conj(), vt[0].conj(), np.ones(space.dim) / math.sqrt(space.dim)]
     singular = U.shape[0] < space.dim or (sv.size and sv[-1] <= 1e-10 * sv[0])
     senses = (True,) if singular else (False, True)
-    if norms._is_even_integer(p):
-        norms._search_capped(len(senses) * (max(budget, 1) + len(extras)), norms._exact_sizes(space, p),
-                             InvalidExponentError, f"exponent {p!r}")
+    sizes = norms._power_sizes(space, p)
+    norms._search_capped(len(senses) * (max(budget, 1) + len(extras)), sizes,
+                         InvalidExponentError, f"exponent {p!r}")
     V, gamma = norms.power_rule(space, p)
     hook = None
-    if lift is not None and sample.m > V.shape[0] * lift.dim:
-        B = lift.basis_values(space.grid(norms._exact_sizes(space, p)))
-        L = np.linalg.qr(np.sqrt(weights)[:, None] * lift.basis_values(sample.points), mode="r")
-        hook = (B, L)
+    if frame is not None:
+        lift, R = frame
+        hook = (lift.basis_values(space.grid(sizes)), R)
     ratios, _, _ = _optim.extremize_ratio(U, weights, V, gamma, p, restarts=budget, maximize=senses,
                                           seed=tuple((0xC2 if mx else 0xC1, 0) for mx in senses),
                                           extra_starts=extras, lift=hook)
@@ -325,17 +310,23 @@ def _sup_certificate(space, sample, budget) -> Certificate:
 def certify(space: Subspace, sample: PointSet, p, budget: int = 64) -> Certificate:
     """Compute discretization constants for (space, sample, p).
 
-    p = 2 is exact (frame-matrix eigenvalues). Even integer p = 2s is
-    exact when the frame-matrix eigenvalues on the s-fold sumset's span
-    lie within 1e-12 of 1. Everything else is a randomized-restart
-    optimization bound, ``heuristic-upper-C1``; see the module docstring
-    for its one-sidedness. At even p that search steers on the sumset
-    frame when the sample is large (see :func:`_heuristic_p_certificate`),
-    and the constants are the direct discrete ratios at the elements found.
-    Even p raises InvalidExponentError, and p = inf UnsupportedNormError,
-    when the exact or sup grid passes ``norms._MAX_GRID`` nodes, or the
-    heuristic search would hold more than ``_MAX_GRID`` values (its
-    restarts times those nodes).
+    p = 2 is exact: the eigenvalues of the sampled Gram matrix. Even integer
+    p = 2s on the torus is exact when every squared singular value of R, the
+    R factor of the weighted basis of the s-fold sumset sK at the sample (so
+    ``R^H R`` is its frame matrix), lies within 1e-12 of 1. Everything else
+    is a randomized-restart optimization bound, ``heuristic-upper-C1``; see
+    the module docstring for its one-sidedness. At p = 2s that search steers
+    on the same R when ``m > nodes * |sK|``, nodes those of the exact rule:
+    the direct numerator costs O(m N) per row and evaluation, the lifted one
+    O(nodes (N + |sK|) + |sK|^2). Direct / lifted time of a stacked p = 4
+    call (16 restarts a sense; best of 3; 2 cores, 1 BLAS thread) on five
+    1-D spaces with N = 2-4: 0.74-1.02 at m <= 48, 0.92-1.26 at m = 96,
+    0.96-1.83 at m = 192, 2.5-6.8 at m = 768 and 8.4-13.8 at m = 1,536.
+    The rule lifts lacunary spaces with N = 2, 3, 4 above m = 27, 102 and
+    330. Finite p raises InvalidExponentError, and p = inf
+    UnsupportedNormError, when the quadrature or sup grid passes
+    ``norms._MAX_GRID`` nodes or the heuristic search would hold more than
+    ``_MAX_GRID`` values (its restarts times those nodes).
     """
     if sample.m < 1:
         raise InvalidSampleError("empty sample")
@@ -344,21 +335,31 @@ def certify(space: Subspace, sample: PointSet, p, budget: int = 64) -> Certifica
     if p == math.inf:
         return _sup_certificate(space, sample, budget)
     if p == 2:
-        return _exact_eigen_certificate(space, sample, weights, weighted)
+        U = space.basis_values(sample.points)
+        if not isinstance(space, TrigSpace):  # the torus basis is already orthonormal
+            U = U @ norms.orthonormal_transform(space)
+        lam = np.linalg.eigvalsh(U.conj().T @ (weights[:, None] * U))
+        c2 = float(lam[-1])
+        return Certificate(2.0, max(float(lam[0]), 0.0), c2, "exact-eigen", "certified",
+                           tolerance=1e-12 * max(c2, 1.0), weighted=weighted)
     if not (norms._is_even_integer(p) and isinstance(space, TrigSpace)):
         return _heuristic_p_certificate(space, sample, p, weights, weighted, budget)
-    norms._exact_sizes(space, p)  # refuses a rule past _MAX_GRID before anything is built
+    nodes = math.prod(norms._power_sizes(space, p))  # refuses a rule past _MAX_GRID before anything is built
     s = int(p) // 2
+    frame = None
     # |sK| >= s (N - 1) + 1, as for any sumset in Z^d: below that the frame
     # test and the lifted search are both out of reach, so sK is not built
     lift = _sumset_space(space, s) if s * (space.dim - 1) < sample.m else None
     if lift is not None and lift.dim <= sample.m:  # a frame matrix of rank below lift.dim is never I
-        frame = _exact_eigen_certificate(lift, sample, weights, weighted)
-        deviation = max(1.0 - frame.c1_pow, frame.c2_pow - 1.0)
+        R = np.linalg.qr(np.sqrt(weights)[:, None] * lift.basis_values(sample.points), mode="r")
+        lam = np.linalg.svd(R, compute_uv=False) ** 2
+        deviation = float(max(1.0 - lam[-1], lam[0] - 1.0))
         if deviation <= 1e-12:
             return Certificate(float(p), 1.0, 1.0, "exact-quadrature", "certified",
                                tolerance=max(deviation, 1e-15), weighted=weighted)
-    return _heuristic_p_certificate(space, sample, p, weights, weighted, budget, lift)
+        if sample.m > nodes * lift.dim:
+            frame = (lift, R)
+    return _heuristic_p_certificate(space, sample, p, weights, weighted, budget, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +372,8 @@ def _oracle_rule(space: Subspace, p):
     if norms._is_even_integer(p):
         return norms.power_rule(space, p)
     per = {1: 512, 2: 64}.get(len(space.degrees), 24)
-    grid = space.grid([max(per, 4 * deg + 1) for deg in space.degrees])
+    grid = space.grid(norms._capped([max(per, 4 * deg + 1) for deg in space.degrees], OracleTooLargeError,
+                                    "the oracle's rule"))
     return space.basis_values(grid), np.full(grid.shape[0], 1.0 / grid.shape[0])
 
 

@@ -1,17 +1,18 @@
 """Continuous and discrete norms, best approximations, and related constants.
 
 Every grid but the enumeration oracle's is sized here, one rule per purpose:
-:func:`power_rule` for certificate and Nikolskii quadratures, exact for even
+:func:`_power_sizes` for certificate and Nikolskii quadratures, exact for even
 integer p as ``|f|^p`` is then a trigonometric polynomial of per-coordinate
 degree ``p * degree``; :func:`_sup_sizes` for sup searches over elements;
 :func:`_handle_sizes` for a function of unknown degree; and
 ``max(4 * degree + 1, 64)`` nodes per dimension to start an L_p norm at
 non-even p. :func:`_refine` doubles such a grid until two successive values
 agree (norms to ``QUAD_STOP``, relative, which leaves them accurate to about
-1e-8 for the well-scaled functions this toolkit produces), and never past
-``_MAX_GRID`` nodes. The exact, sup and handle rules refuse a space whose
-grid would pass ``_MAX_GRID``, and :func:`_search_capped` a sphere search
-whose restarts times grid nodes would, before anything is built.
+1e-8 for the well-scaled functions this toolkit produces). Every grid is
+capped: each of these rules, and the oracle's, refuses a space whose grid
+would pass ``_MAX_GRID`` nodes, :func:`_refine` never doubles past it, and
+:func:`_search_capped` refuses a sphere search whose restarts times grid
+nodes would pass it, all before anything is built.
 
 Torus sup norms are lower estimates: grid searches with box scans for
 elements, a maximum on the fixed handle grid for other functions.
@@ -145,26 +146,28 @@ def _search_capped(rows, sizes, error, what):
                     f"{rows} x {nodes} values, more than {_MAX_GRID}")
 
 
-def _exact_sizes(space: Subspace, p):
-    """Nodes per axis of :func:`power_rule`'s exact rule at even integer p,
-    ``p * degree + 1``, at most ``_MAX_GRID`` in all (InvalidExponentError)."""
-    return _capped([int(p) * deg + 1 for deg in space.degrees], InvalidExponentError,
-                   f"the exact rule of exponent {p!r}")
-
-
-def power_rule(space: Subspace, p):
-    """Quadrature rule (values matrix, weights) for ``||f||_p^p``.
-
-    Exact for finite domains and for even integer p on the torus, on the
-    :func:`_exact_sizes` grid. For other exponents this is a dense-grid
-    relaxation sized generously for the space's degree.
-    """
+def _power_sizes(space: Subspace, p):
+    """Nodes per axis of :func:`power_rule`: ``p * degree + 1`` at even
+    integer p, else ``max(16 * degree + 1, floor)`` with a floor of 1,024,
+    96 or 32 nodes on one, two or more axes; at most ``_MAX_GRID`` in all
+    (InvalidExponentError)."""
     if _is_even_integer(p):
-        sizes = _exact_sizes(space, p)
+        sizes = [int(p) * deg + 1 for deg in space.degrees]
     else:
         floor = {1: 1024, 2: 96}.get(len(space.degrees), 32)
         sizes = [max(16 * deg + 1, floor) for deg in space.degrees]
-    grid = space.grid(sizes)
+    return _capped(sizes, InvalidExponentError, f"the quadrature rule of exponent {p!r}")
+
+
+def power_rule(space: Subspace, p):
+    """Quadrature rule (values matrix, weights) for ``||f||_p^p`` on the
+    :func:`_power_sizes` grid.
+
+    Exact for finite domains and for even integer p on the torus. For other
+    exponents this is a dense-grid relaxation sized generously for the
+    space's degree.
+    """
+    grid = space.grid(_power_sizes(space, p))
     return space.basis_values(grid), np.full(grid.shape[0], 1.0 / grid.shape[0])
 
 
@@ -205,14 +208,16 @@ def handle_norm_p(handle, space: Subspace, p) -> float:
 
     Used when the integrand is not an element of a known subspace (e.g. a
     recovery residual). Finite p refines from ``max(4 * degree + 1, 64)``
-    nodes per dimension; p = inf is the largest modulus on the
+    nodes per dimension, and refuses a space where those pass ``_MAX_GRID``
+    (UnsupportedNormError); p = inf is the largest modulus on the
     :func:`_handle_sizes` grid, which ``best_approx(p=inf)`` fits on.
     """
     checked_exponent(p)
     if p == math.inf:
         return float(np.max(np.abs(call_target(handle, space.grid(_handle_sizes(space))))))
-    return _refine(lambda sizes: _power_mean(call_target(handle, space.grid(sizes)), p),
-                   [max(4 * deg + 1, 64) for deg in space.degrees],
+    start = _capped([max(4 * deg + 1, 64) for deg in space.degrees], UnsupportedNormError,
+                    f"the L_{p!r} norm of a function on the space's domain")
+    return _refine(lambda sizes: _power_mean(call_target(handle, space.grid(sizes)), p), start,
                    lambda prev, cur: abs(cur - prev) <= QUAD_STOP * max(1.0, abs(prev)))
 
 

@@ -94,7 +94,7 @@ class Spectrum:
         Either scalars (dimension 1) or length-d integer vectors.
     lacunary_ratio : float, optional
         If set, asserts the one-dimensional lacunary structure
-        ``k_1 = 1`` and ``k_{j+1} >= ratio * k_j`` with ratio > 1.
+        ``k_1 = 1`` and ``k_{j+1} >= ratio * k_j`` with a finite ratio > 1.
     """
 
     def __init__(self, frequencies, lacunary_ratio: float | None = None):
@@ -111,8 +111,8 @@ class Spectrum:
         self._freqs = np.array(rows, dtype=np.int64)
         self._freqs.setflags(write=False)
         if lacunary_ratio is not None:
-            if lacunary_ratio <= 1:
-                raise InvalidRatioError("lacunary ratio must be > 1")
+            if not 1 < lacunary_ratio < math.inf:
+                raise InvalidRatioError("lacunary ratio must be > 1 and finite")
             ks = self._freqs[:, 0]
             if self.dim != 1 or ks[0] != 1 or np.any(ks[1:] < lacunary_ratio * ks[:-1]):
                 raise InvalidSpectrumError("frequencies do not satisfy the lacunary growth condition")
@@ -291,8 +291,6 @@ class DiscreteSpace(Subspace):
         self._values = vals.copy()
         self._values.setflags(write=False)
         self._domain = FiniteDomain(vals.shape[0])
-        self._coef_gram = None
-        self._contains_constant = None
 
     @property
     def domain(self) -> FiniteDomain:
@@ -308,12 +306,9 @@ class DiscreteSpace(Subspace):
 
     @property
     def contains_constant(self) -> bool:
-        if self._contains_constant is None:
-            ones = np.ones(self.domain.size, dtype=complex)
-            c = np.linalg.lstsq(self._values, ones, rcond=None)[0]
-            resid = float(np.linalg.norm(self._values @ c - ones))
-            self._contains_constant = resid <= 1e-10 * math.sqrt(self.domain.size)
-        return self._contains_constant
+        ones = np.ones(self.domain.size, dtype=complex)
+        c = np.linalg.lstsq(self._values, ones, rcond=None)[0]
+        return float(np.linalg.norm(self._values @ c - ones)) <= 1e-10 * math.sqrt(self.domain.size)
 
     def check_points(self, points) -> np.ndarray:
         idx = np.asarray(points)
@@ -335,10 +330,7 @@ class DiscreteSpace(Subspace):
         return rng.integers(0, self.domain.size, size=count)
 
     def coef_gram(self) -> np.ndarray:
-        # cached; safe because the value matrix is immutable
-        if self._coef_gram is None:
-            self._coef_gram = (self._values.conj().T @ self._values) / self.domain.size
-        return self._coef_gram
+        return (self._values.conj().T @ self._values) / self.domain.size
 
     def __repr__(self):
         return f"DiscreteSpace(dim={self.dim}, points={self.domain.size})"
@@ -393,8 +385,8 @@ def make_lacunary_space(n: int, b: float) -> TrigSpace:
     Uses the minimal admissible sequence ``k_1 = 1``,
     ``k_{j+1} = ceil(b * k_j)``, which is deterministic and reproducible.
     """
-    if b <= 1:
-        raise InvalidRatioError("growth ratio must be > 1")
+    if not 1 < b < math.inf:
+        raise InvalidRatioError("growth ratio must be > 1 and finite")
     if n < 1:
         raise InvalidSpectrumError("need at least one frequency")
     ks = [1]

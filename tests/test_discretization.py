@@ -305,7 +305,7 @@ def _heuristic_inputs(space, sample, p):
     U = space.basis_values(sample.points)
     V, gamma = norms.power_rule(space, p)
     lift = _sumset_space(space, p // 2)
-    B = lift.basis_values(space.grid(norms._exact_sizes(space, p)))
+    B = lift.basis_values(space.grid(norms._power_sizes(space, p)))
     L = np.linalg.qr(np.sqrt(w)[:, None] * lift.basis_values(sample.points), mode="r")
     _, _, vt = np.linalg.svd(U, full_matrices=False)
     extras = [vt[-1].conj(), vt[0].conj(), np.ones(space.dim) / math.sqrt(space.dim)]
@@ -347,6 +347,57 @@ def test_lift_is_only_used_above_the_size_rule(monkeypatch):
     sp = make_lacunary_space(2, 2)
     monkeypatch.setattr(_optim, "_sumset_numerator", lambda *a: pytest.fail("lifted at m = 27"))
     certify(sp, generate_points(sp, "iid", 27, seed=1), 4, budget=4)
+
+
+@pytest.mark.parametrize("m", [27, 60])
+def test_certify_evaluates_the_sumset_basis_at_the_sample_once(m, monkeypatch):
+    # lacunary n = 2 at p = 4: m = 27 is below the lift rule (9 nodes x |2K| = 3), m = 60 above it
+    sp = make_lacunary_space(2, 2)
+    pts = generate_points(sp, "iid", m, seed=1)
+    at_sample = []
+    sumset_space = discretization._sumset_space
+
+    def counted(space, s):
+        lift = sumset_space(space, s)
+        values = lift.basis_values
+
+        def basis_values(points):
+            at_sample.append(len(points) == m)
+            return values(points)
+
+        lift.basis_values = basis_values
+        return lift
+
+    monkeypatch.setattr(discretization, "_sumset_space", counted)
+    assert certify(sp, pts, 4, budget=4).method == "optimization-bound"
+    assert at_sample.count(True) == 1
+
+
+def _gram_deviation(space, sample, p):
+    # the frame test as the Gram matrix's eigenvalues: max |lambda - 1| over E^H W E
+    E = _sumset_space(space, p // 2).basis_values(sample.points)
+    lam = np.linalg.eigvalsh(E.conj().T @ (E / sample.m))
+    return max(1.0 - lam[0], lam[-1] - 1.0)
+
+
+@pytest.mark.parametrize("p", [4, 6])
+def test_frame_deviation_from_the_factor_matches_the_gram_eigenvalues(p, monkeypatch):
+    sp = make_lacunary_space(2, 2)
+    # equispaced nodes are exact, and certify reports the deviation as the tolerance
+    exact = generate_points(sp, "equispaced", 5)
+    cert = certify(sp, exact, p)
+    assert cert.method == "exact-quadrature"
+    assert cert.tolerance == pytest.approx(max(_gram_deviation(sp, exact, p), 1e-15), abs=1e-14)
+    # iid nodes are not; above the lift rule certify hands its R on, and the
+    # deviation read off sigma(R)^2 is the Gram one
+    iid = generate_points(sp, "iid", 60, seed=5)
+    frames = []
+    monkeypatch.setattr(discretization, "_heuristic_p_certificate", lambda *args: frames.append(args[-1]))
+    certify(sp, iid, p)
+    lam = np.linalg.svd(frames[0][1], compute_uv=False) ** 2
+    deviation = _gram_deviation(sp, iid, p)
+    assert max(1.0 - lam[-1], lam[0] - 1.0) == pytest.approx(deviation, abs=1e-14)
+    assert deviation > 1e-12
 
 
 def test_huge_even_exponent_is_refused_before_any_grid_is_built(monkeypatch):

@@ -31,6 +31,7 @@ from sampdisc.errors import (
     InvalidSampleError,
     InvalidTargetError,
     InvalidWeightError,
+    OracleTooLargeError,
     UnsupportedNormError,
 )
 from sampdisc.discretization import PointSet, WeightedPointSet
@@ -372,6 +373,40 @@ def test_degree_one_3d_nikolskii_search_passes_the_cap(monkeypatch):
     monkeypatch.setattr(spaces, "torus_grid", stop_at_sup_grid)
     with pytest.raises(SupGrid):
         nikolskii_constant(AXES3, 3)
+
+
+def test_non_even_rule_past_max_grid_is_refused_before_any_grid_is_built(monkeypatch):
+    # degree 20 on three axes: certify(p=3) asked for 321^3 = 33,076,161 rule nodes
+    space = make_trig_space(3, [[0, 0, 0], [20, 0, 0], [0, 20, 0], [0, 0, 20]])
+    sample = generate_points(space, "iid", 20, seed=3)
+    monkeypatch.setattr(spaces, "torus_grid", lambda sizes: pytest.fail(f"built {sizes}"))
+    for call in (lambda: certify(space, sample, 3), lambda: norms.power_rule(space, 3)):
+        with pytest.raises(InvalidExponentError, match="321 x 321 x 321 grid nodes"):
+            call()
+
+
+@pytest.mark.parametrize("space,values", [
+    (make_trig_space(3, [[0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4]]), "134 x 274625 values"),
+    (make_lacunary_space(12, 2), "134 x 32769 values"),
+], ids=["degree-4-on-3-axes", "lacunary-12"])
+def test_non_even_search_past_max_grid_is_refused_before_any_grid_is_built(space, values, monkeypatch):
+    # 2 x (64 + 3) search rows over the p = 3 rule: 36.8 M values at degree 4 on three axes
+    sample = generate_points(space, "iid", 20, seed=3)
+    monkeypatch.setattr(spaces, "torus_grid", lambda sizes: pytest.fail(f"built {sizes}"))
+    with pytest.raises(InvalidExponentError, match=values):
+        certify(space, sample, 3)
+
+
+def test_non_even_norm_and_oracle_grids_past_max_grid_are_refused_before_any_grid_is_built(monkeypatch):
+    # degree 300 on two of three axes: p = 3 asked for 1201 x 1201 x 64 norm
+    # nodes and 1201 x 1201 x 24 oracle nodes
+    space = make_trig_space(3, [[0, 0, 0], [300, 0, 0], [0, 300, 0]])
+    sample = generate_points(space, "iid", 8, seed=3)
+    monkeypatch.setattr(spaces, "torus_grid", lambda sizes: pytest.fail(f"built {sizes}"))
+    with pytest.raises(UnsupportedNormError, match="1201 x 1201 x 64 grid nodes"):
+        norm_p(CoefficientVector(space, np.ones(3)), 3)
+    with pytest.raises(OracleTooLargeError, match="1201 x 1201 x 24 grid nodes"):
+        brute_force_certificate(space, sample, 3)
 
 
 @pytest.mark.parametrize("p", [2, 3, math.inf])

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from sampdisc import _optim, generate_points, make_lacunary_space, make_trig_space, norms, tensor_product
-from sampdisc.discretization import _sumset_space
+from sampdisc import _optim, certify, generate_points, make_lacunary_space, make_trig_space, norms, tensor_product
+from sampdisc.discretization import WeightedPointSet, _sumset_space
 
 
 def sequential_extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, iters=150,
@@ -197,12 +197,33 @@ def _lift_case(name, p, m=40, seed=3):
     w /= w.sum()
     V, gamma = norms.power_rule(space, p)
     lift = _sumset_space(space, p // 2)
-    B = lift.basis_values(space.grid(norms._exact_sizes(space, p)))
+    B = lift.basis_values(space.grid(norms._power_sizes(space, p)))
     L = np.linalg.qr(np.sqrt(w)[:, None] * lift.basis_values(sample.points), mode="r")
     return space.basis_values(sample.points), w, V, gamma, B, L
 
 
 LIFT_CASES = [("lacunary", 4), ("lacunary", 6), ("tensor", 4)]
+
+
+def test_certify_steers_on_the_factor_that_lift_case_builds(monkeypatch):
+    # m = 120 is above the lift rule of lacunary n = 3 at p = 4 (17 nodes x |2K| = 6)
+    _, w, _, _, B, L = _lift_case("lacunary", 4, m=120, seed=12)
+    space = make_lacunary_space(3, 2)
+    sample = generate_points(space, "iid", 120, seed=12)
+    hooks = []
+
+    class Stop(Exception):
+        pass
+
+    def capture(*args, lift=None, **kw):
+        hooks.append(lift)
+        raise Stop
+
+    monkeypatch.setattr(_optim, "extremize_ratio", capture)
+    with pytest.raises(Stop):
+        certify(space, WeightedPointSet(sample.points, w), 4)
+    (hook,) = hooks
+    assert np.array_equal(hook[0], B) and np.array_equal(hook[1], L)
 
 
 @pytest.mark.parametrize("name,p", LIFT_CASES)

@@ -68,6 +68,12 @@ def test_lacunary_single_frequency():
 def test_lacunary_bad_ratio():
     with pytest.raises(InvalidRatioError):
         make_lacunary_space(2, 1)
+    # nan and inf reached math.ceil (ValueError, OverflowError), and a nan ratio was kept
+    for ratio in (math.nan, math.inf):
+        with pytest.raises(InvalidRatioError):
+            make_lacunary_space(3, ratio)
+    with pytest.raises(InvalidRatioError):
+        Spectrum([1, 2, 4], lacunary_ratio=math.nan)
 
 
 def test_lacunary_fractional_ratio_growth():
@@ -229,6 +235,14 @@ def test_discrete_space_contains_constant():
     assert ones.contains_constant
     odd = DiscreteSpace(np.array([[1.0], [-1.0]]))
     assert not odd.contains_constant
+
+
+def test_discrete_space_state_is_fixed_at_construction():
+    sp = DiscreteSpace(np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]))
+    state = dict(vars(sp))
+    assert sp.contains_constant
+    assert np.allclose(gram_matrix(sp), sp.coef_gram().T)
+    assert vars(sp).keys() == state.keys() and all(vars(sp)[k] is v for k, v in state.items())
 
 
 def test_serialization_round_trip():
