@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,13 +40,13 @@ from . import _optim, norms
 from .errors import (
     BudgetExhaustedError,
     InvalidExponentError,
+    InvalidPointError,
     InvalidSampleError,
     FactorExtractionError,
     MissingSeedError,
     OracleTooLargeError,
     SearchFailedError,
     UnsupportedDomainError,
-    UnsupportedNormError,
 )
 from .spaces import TWO_PI, CoefficientVector, Spectrum, Subspace, TrigSpace, product_rows, torus_grid
 
@@ -75,7 +76,9 @@ class PointSet:
         pts = np.asarray(points)
         if pts.size == 0:
             raise InvalidSampleError("point set must be nonempty")
-        if np.issubdtype(pts.dtype, np.floating) or np.issubdtype(pts.dtype, np.complexfloating):
+        if np.iscomplexobj(pts):
+            raise InvalidPointError("points must be real, not complex")
+        if np.issubdtype(pts.dtype, np.floating):
             pts = np.mod(np.asarray(pts, dtype=float), TWO_PI)
             if pts.ndim == 1:
                 pts = pts[:, None]
@@ -164,9 +167,11 @@ def generate_points(space: Subspace, mode: str, m: int | None = None, *,
     if mode in ("iid", "leverage"):
         if seed is None:
             raise MissingSeedError(f"{mode} generation requires a seed")
-        if m is None or m < 1:
-            raise InvalidSampleError("need m >= 1 points")
-        rng = np.random.default_rng(seed)
+        _check_count(m, "m")
+        try:
+            rng = np.random.default_rng(seed)
+        except (TypeError, ValueError) as exc:
+            raise InvalidSampleError(f"bad seed {seed!r}: {exc}") from exc
 
     if mode == "iid":
         return PointSet(space.draw(rng, m), {"mode": "iid", "seed": _seed_repr(seed), "m": int(m)})
@@ -176,8 +181,7 @@ def generate_points(space: Subspace, mode: str, m: int | None = None, *,
             raise UnsupportedDomainError("equispaced nodes require a torus space")
         d = space.domain.dim
         if sizes is None:
-            if m is None or m < 1:
-                raise InvalidSampleError("need m >= 1 points")
+            _check_count(m, "m")
             sizes = [int(m)] * d
         sizes = [int(s) for s in sizes]
         if len(sizes) != d or any(s < 1 for s in sizes):
@@ -224,6 +228,12 @@ def generate_points(space: Subspace, mode: str, m: int | None = None, *,
     raise InvalidSampleError(f"unknown generation mode {mode!r}")
 
 
+def _check_count(value, name):
+    """Raise InvalidSampleError unless ``value`` is an integer >= 1."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidSampleError(f"need an integer {name} >= 1, got {value!r}")
+
+
 def _seed_repr(seed):
     return list(seed) if isinstance(seed, (tuple, list)) else int(seed)
 
@@ -256,8 +266,8 @@ def _sumset_space(space: TrigSpace, s: int) -> TrigSpace:
 
 def _heuristic_p_certificate(space, sample, p, weights, weighted, budget, frame=None) -> Certificate:
     """Both constants from one stacked min/max search of ``extremize_ratio``,
-    refused (InvalidExponentError) when its restarts times the
-    :func:`norms.power_rule` nodes pass ``norms._MAX_GRID``.
+    refused (InvalidExponentError) when its rows times the :func:`norms.power_rule`
+    nodes (a finite domain's points) pass ``norms._MAX_GRID``.
 
     ``frame = (lift, R)``, the span of the sumset sK at p = 2s and the R
     factor of its weighted values at the sample, makes the search steer on
@@ -271,14 +281,9 @@ def _heuristic_p_certificate(space, sample, p, weights, weighted, budget, frame=
     extras = [vt[-1].conj(), vt[0].conj(), np.ones(space.dim) / math.sqrt(space.dim)]
     singular = U.shape[0] < space.dim or (sv.size and sv[-1] <= 1e-10 * sv[0])
     senses = (True,) if singular else (False, True)
-    sizes = norms._power_sizes(space, p)
-    norms._search_capped(len(senses) * (max(budget, 1) + len(extras)), sizes,
-                         InvalidExponentError, f"exponent {p!r}")
+    sizes = norms._power_sizes(space, p, rows=len(senses) * (max(budget, 1) + len(extras)))
     V, gamma = norms.power_rule(space, p)
-    hook = None
-    if frame is not None:
-        lift, R = frame
-        hook = (lift.basis_values(space.grid(sizes)), R)
+    hook = None if frame is None else (frame[0].basis_values(space.grid(sizes)), frame[1])
     ratios, _, _ = _optim.extremize_ratio(U, weights, V, gamma, p, restarts=budget, maximize=senses,
                                           seed=tuple((0xC2 if mx else 0xC1, 0) for mx in senses),
                                           extra_starts=extras, lift=hook)
@@ -292,8 +297,7 @@ def _sup_certificate(space, sample, budget) -> Certificate:
     U = space.basis_values(sample.points)
     _, sv, vt = np.linalg.svd(U, full_matrices=False)
     extras = [vt[-1].conj(), np.ones(space.dim) / math.sqrt(space.dim)]
-    sizes = norms._sup_sizes(space)
-    norms._search_capped(max(budget, 1) + len(extras), sizes, UnsupportedNormError, "the sup certificate")
+    sizes = norms._sup_sizes(space, rows=max(budget, 1) + len(extras))
     V = space.basis_values(space.grid(sizes))
     wnum = np.full(U.shape[0], 1.0 / U.shape[0])
     wden = np.full(V.shape[0], 1.0 / V.shape[0])
@@ -326,7 +330,9 @@ def certify(space: Subspace, sample: PointSet, p, budget: int = 64) -> Certifica
     330. Finite p raises InvalidExponentError, and p = inf
     UnsupportedNormError, when the quadrature or sup grid passes
     ``norms._MAX_GRID`` nodes or the heuristic search would hold more than
-    ``_MAX_GRID`` values (its restarts times those nodes).
+    ``_MAX_GRID`` values (its rows times those nodes). A finite domain's grid
+    is all its points: at the default budget a full-rank sample is refused
+    above 31,300 of them at finite p != 2, and above 63,550 at p = inf.
     """
     if sample.m < 1:
         raise InvalidSampleError("empty sample")
@@ -372,8 +378,8 @@ def _oracle_rule(space: Subspace, p):
     if norms._is_even_integer(p):
         return norms.power_rule(space, p)
     per = {1: 512, 2: 64}.get(len(space.degrees), 24)
-    grid = space.grid(norms._capped([max(per, 4 * deg + 1) for deg in space.degrees], OracleTooLargeError,
-                                    "the oracle's rule"))
+    grid = space.grid(norms._capped(space, [max(per, 4 * deg + 1) for deg in space.degrees],
+                                    OracleTooLargeError, "the oracle's rule"))
     return space.basis_values(grid), np.full(grid.shape[0], 1.0 / grid.shape[0])
 
 
@@ -409,6 +415,7 @@ def brute_force_certificate(space: Subspace, sample: PointSet, p,
     whose single ratio is exact and ``certified``.
     """
     norms.checked_exponent(p, finite=True)
+    _check_count(resolution, "resolution")
     n = space.dim
     if n > 3:
         raise OracleTooLargeError("brute-force oracle supports N <= 3 only")
@@ -480,7 +487,8 @@ def two_stage_subsample(space: Subspace, q, eps: float, budgets: TwoStageBudget,
         raise InvalidExponentError("the two-stage procedure needs q >= 2")
     if not 0 < eps < 1:
         raise InvalidExponentError("eps must lie in (0, 1)")
-    if budgets.stage1_s < 1 or budgets.stage2_m < 1 or budgets.stage2_m > budgets.stage1_s:
+    _check_count(budgets.stage2_m, "stage2_m")  # generate_points checks stage1_s
+    if budgets.stage2_m > budgets.stage1_s:
         raise InvalidSampleError("need 1 <= stage2_m <= stage1_s")
     stage1 = generate_points(space, "iid", budgets.stage1_s, seed=(seed, 0x51))
     cert1 = certify(space, stage1, q, budget=_TWO_STAGE_BUDGET)
@@ -545,8 +553,7 @@ def minimal_m_search(space: Subspace, p, eps: float, trials: int,
     """
     if not 0 < eps < 1:
         raise InvalidExponentError("eps must lie in (0, 1)")
-    if trials < 1:
-        raise InvalidSampleError("need at least one trial")
+    _check_count(trials, "number of trials")
     n = space.dim
     if m_max is None:
         m_max = max(2 * n, math.ceil(32 * n * max(1.0, math.log2(2 * n)) ** 2))

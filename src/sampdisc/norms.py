@@ -9,10 +9,10 @@ degree ``p * degree``; :func:`_sup_sizes` for sup searches over elements;
 non-even p. :func:`_refine` doubles such a grid until two successive values
 agree (norms to ``QUAD_STOP``, relative, which leaves them accurate to about
 1e-8 for the well-scaled functions this toolkit produces). Every grid is
-capped: each of these rules, and the oracle's, refuses a space whose grid
-would pass ``_MAX_GRID`` nodes, :func:`_refine` never doubles past it, and
-:func:`_search_capped` refuses a sphere search whose restarts times grid
-nodes would pass it, all before anything is built.
+capped by :func:`_capped` before anything is built: each of these rules, and
+the oracle's, refuses a grid of over ``_MAX_GRID`` nodes (on a finite domain,
+its points) or a sphere search of over ``_MAX_GRID`` values (its rows times
+those nodes), and :func:`_refine` never doubles past the cap.
 
 Torus sup norms are lower estimates: grid searches with box scans for
 elements, a maximum on the fixed handle grid for other functions.
@@ -130,33 +130,30 @@ def _is_even_integer(p) -> bool:
     return p != math.inf and float(p) == int(p) and int(p) % 2 == 0 and int(p) >= 2
 
 
-def _capped(sizes, error, what):
-    """``sizes``; raises ``error``, before anything is built, when their
-    product passes ``_MAX_GRID``."""
-    if math.prod(sizes) > _MAX_GRID:
-        raise error(f"{what} needs {' x '.join(map(str, sizes))} grid nodes, more than {_MAX_GRID}")
-    return sizes
-
-
-def _search_capped(rows, sizes, error, what):
-    """Raises ``error`` when ``rows`` restarts over a grid of ``sizes`` would hold over ``_MAX_GRID`` values."""
-    nodes = math.prod(sizes)
+def _capped(space: Subspace, sizes, error, what, rows=1):
+    """``sizes``; raises ``error`` when the grid (``prod(sizes)`` nodes, or a
+    finite domain's points) passes ``_MAX_GRID`` nodes, or ``rows`` times it
+    passes ``_MAX_GRID`` values: the one cap, checked before anything is built."""
+    nodes = math.prod(sizes) if sizes else space.domain.size
+    if nodes > _MAX_GRID:
+        raise error(f"{what} needs {' x '.join(map(str, sizes)) or nodes} grid nodes, more than {_MAX_GRID}")
     if rows * nodes > _MAX_GRID:
         raise error(f"{what} needs a {nodes}-node grid; the heuristic search would hold "
                     f"{rows} x {nodes} values, more than {_MAX_GRID}")
+    return sizes
 
 
-def _power_sizes(space: Subspace, p):
+def _power_sizes(space: Subspace, p, rows=1):
     """Nodes per axis of :func:`power_rule`: ``p * degree + 1`` at even
     integer p, else ``max(16 * degree + 1, floor)`` with a floor of 1,024,
-    96 or 32 nodes on one, two or more axes; at most ``_MAX_GRID`` in all
-    (InvalidExponentError)."""
+    96 or 32 nodes on one, two or more axes; held by :func:`_capped` with the
+    search's ``rows`` (InvalidExponentError)."""
     if _is_even_integer(p):
         sizes = [int(p) * deg + 1 for deg in space.degrees]
     else:
         floor = {1: 1024, 2: 96}.get(len(space.degrees), 32)
         sizes = [max(16 * deg + 1, floor) for deg in space.degrees]
-    return _capped(sizes, InvalidExponentError, f"the quadrature rule of exponent {p!r}")
+    return _capped(space, sizes, InvalidExponentError, f"the quadrature rule of exponent {p!r}", rows)
 
 
 def power_rule(space: Subspace, p):
@@ -215,7 +212,7 @@ def handle_norm_p(handle, space: Subspace, p) -> float:
     checked_exponent(p)
     if p == math.inf:
         return float(np.max(np.abs(call_target(handle, space.grid(_handle_sizes(space))))))
-    start = _capped([max(4 * deg + 1, 64) for deg in space.degrees], UnsupportedNormError,
+    start = _capped(space, [max(4 * deg + 1, 64) for deg in space.degrees], UnsupportedNormError,
                     f"the L_{p!r} norm of a function on the space's domain")
     return _refine(lambda sizes: _power_mean(call_target(handle, space.grid(sizes)), p), start,
                    lambda prev, cur: abs(cur - prev) <= QUAD_STOP * max(1.0, abs(prev)))
@@ -225,17 +222,17 @@ def handle_norm_p(handle, space: Subspace, p) -> float:
 # sup norm
 
 
-def _sup_sizes(space: Subspace):
-    """Nodes per dimension of the sup search over elements of the space, at
-    most ``_MAX_GRID`` in all (UnsupportedNormError)."""
-    return _capped([max(64 * deg, 64) for deg in space.degrees], UnsupportedNormError,
-                   "the sup search over the space")
+def _sup_sizes(space: Subspace, rows=1):
+    """Nodes per dimension of the sup search over elements of the space, held
+    by :func:`_capped` with the search's ``rows`` (UnsupportedNormError)."""
+    return _capped(space, [max(64 * deg, 64) for deg in space.degrees], UnsupportedNormError,
+                   "the sup search over the space", rows)
 
 
 def _handle_sizes(space: Subspace):
     """Nodes per dimension for a function of unknown degree on the space's
     domain, at most ``_MAX_GRID`` in all (UnsupportedNormError)."""
-    return _capped([max(64 * deg, 512 if len(space.degrees) == 1 else 128) for deg in space.degrees],
+    return _capped(space, [max(64 * deg, 512 if len(space.degrees) == 1 else 128) for deg in space.degrees],
                    UnsupportedNormError, "a function on the space's domain")
 
 
@@ -422,8 +419,8 @@ def nikolskii_constant(space: Subspace, q) -> NikolskiiEstimate:
     on the :func:`_sup_sizes` grid over ``||f||_q`` on :func:`power_rule`'s,
     and M is the ratio ``sup_argmax(f) / norm_p(f, q)`` at the element it
     returns. A space whose ``_NIKOLSKII_ROWS`` search rows times sup nodes
-    pass ``_MAX_GRID`` is refused (UnsupportedNormError) before any grid is
-    built.
+    pass ``_MAX_GRID`` is refused by :func:`_sup_sizes` (UnsupportedNormError)
+    before any grid is built: on a finite domain, above 524,288 points.
     """
     checked_exponent(q, finite=True)
     n = space.dim
@@ -431,8 +428,7 @@ def nikolskii_constant(space: Subspace, q) -> NikolskiiEstimate:
         t = christoffel_sup(space)
         M = t * math.sqrt(n)
         return NikolskiiEstimate(q, M, M / n ** 0.5, "analytic", 0)
-    sizes = _sup_sizes(space)
-    _search_capped(_NIKOLSKII_ROWS, sizes, UnsupportedNormError, "the Nikolskii search")
+    sizes = _sup_sizes(space, _NIKOLSKII_ROWS)
     orthonormal_transform(space)  # rejects rank-deficient bases up front
     Vq, gq = power_rule(space, q)
     Vs = space.basis_values(space.grid(sizes))

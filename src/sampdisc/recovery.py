@@ -23,6 +23,7 @@ import numpy as np
 from . import _optim
 from .discretization import Certificate, PointSet, _sample_weights, certify
 from .errors import (
+    ConfigError,
     HeuristicCertificateError,
     InvalidExponentError,
     InvalidSampleError,
@@ -218,7 +219,7 @@ class LpwRegressor:
     def set_params(self, **params) -> "LpwRegressor":
         for key, value in params.items():
             if key not in ("space", "p"):
-                raise ValueError(f"unknown parameter {key!r}")
+                raise ConfigError(key, "unknown parameter")
             setattr(self, key, value)
         return self
 

@@ -195,13 +195,11 @@ class TrigSpace(Subspace):
         where = {r: i for i, r in enumerate(rows)}
         first = np.array([min(i, where.get(tuple(-v for v in r), i)) for i, r in enumerate(rows)])
         reps = np.flatnonzero(first == np.arange(len(rows)))
-        self._half, self._cols, self._signs = K, None, None
-        if len(reps) < len(rows):
-            self._half = K[reps]
-            self._cols = np.searchsorted(reps, first)
-            self._signs = np.where(first < np.arange(len(rows)), -1.0, 1.0)
-            for a in (self._half, self._cols, self._signs):
-                a.setflags(write=False)
+        self._half = K[reps]
+        self._cols = np.searchsorted(reps, first)
+        self._signs = np.where(first < np.arange(len(rows)), -1.0, 1.0)
+        for a in (self._half, self._cols, self._signs):
+            a.setflags(write=False)
 
     @property
     def domain(self) -> TorusDomain:
@@ -256,12 +254,8 @@ class TrigSpace(Subspace):
         pts = self.check_points(points)
         theta = pts @ self._half.T
         out = np.empty((pts.shape[0], self.dim), dtype=complex)
-        if self._cols is None:
-            np.cos(theta, out=out.real)
-            np.sin(theta, out=out.imag)
-        else:
-            out.real = np.cos(theta)[:, self._cols]
-            np.multiply(np.sin(theta)[:, self._cols], self._signs, out=out.imag)
+        out.real = np.cos(theta)[:, self._cols]
+        np.multiply(np.sin(theta)[:, self._cols], self._signs, out=out.imag)
         out.imag += 0.0  # -0 to +0: exp(1j * t) has sine +0 at t = -0 and at t = +0
         return out
 

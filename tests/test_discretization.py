@@ -26,8 +26,11 @@ from sampdisc import (
 )
 from sampdisc import _optim, discretization, norms
 from sampdisc.discretization import PointSet, _sumset_space
+from sampdisc.recovery import LpwRegressor
 from sampdisc.errors import (
     BudgetExhaustedError,
+    ConfigError,
+    InvalidPointError,
     InvalidSampleError,
     FactorExtractionError,
     InvalidExponentError,
@@ -86,6 +89,41 @@ def test_generation_rejects_empty():
     sp = full_trig_space(1)
     with pytest.raises(InvalidSampleError):
         generate_points(sp, "iid", 0, seed=1)
+
+
+def test_complex_points_are_refused():
+    # a cast to float would drop the imaginary parts with only a ComplexWarning
+    with pytest.raises(InvalidPointError, match="complex"):
+        PointSet(np.array([1 + 2j, 3 + 0j]))
+
+
+_SP = full_trig_space(2)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: generate_points(_SP, "iid", 3, seed=-1), InvalidSampleError),
+    (lambda: generate_points(_SP, "iid", 3, seed=1.5), InvalidSampleError),
+    (lambda: generate_points(_SP, "iid", 2.5, seed=1), InvalidSampleError),
+    (lambda: generate_points(_SP, "equispaced", 2.5), InvalidSampleError),
+    (lambda: two_stage_subsample(_SP, 2, 0.5, TwoStageBudget(40, 10), seed=-1), InvalidSampleError),
+    (lambda: two_stage_subsample(_SP, 2, 0.5, TwoStageBudget(20.5, 4), seed=1), InvalidSampleError),
+    (lambda: two_stage_subsample(_SP, 2, 0.5, TwoStageBudget(20, 4.5), seed=1), InvalidSampleError),
+    (lambda: minimal_m_search(_SP, 2, 0.1, 2, 1.0, seed=1, m_max=7.5), InvalidSampleError),
+    (lambda: minimal_m_search(_SP, 2, 0.5, 2.5, 0.9, seed=1), InvalidSampleError),
+    (lambda: brute_force_certificate(_SP, generate_points(_SP, "iid", 8, seed=1), 4, resolution=0),
+     InvalidSampleError),
+    (lambda: brute_force_certificate(_SP, generate_points(_SP, "iid", 8, seed=1), 4, resolution=-5),
+     InvalidSampleError),
+    (lambda: brute_force_certificate(_SP, generate_points(_SP, "iid", 8, seed=1), 4, resolution=2.5),
+     InvalidSampleError),
+    (lambda: LpwRegressor(_SP).set_params(foo=1), ConfigError),
+], ids=["seed-negative", "seed-float", "m-float", "equispaced-m-float", "two-stage-seed-negative",
+        "two-stage-stage1-float", "two-stage-stage2-float", "m-max-float", "trials-float",
+        "resolution-0", "resolution-negative", "resolution-float", "set-params-unknown"])
+def test_bad_counts_and_seeds_raise_typed_errors(call, error):
+    # a typed SampdiscError, not numpy's or Python's raw ValueError, TypeError or ZeroDivisionError
+    with pytest.raises(error):
+        call()
 
 
 def test_weighted_point_set_validates():

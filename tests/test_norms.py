@@ -409,6 +409,37 @@ def test_non_even_norm_and_oracle_grids_past_max_grid_are_refused_before_any_gri
         brute_force_certificate(space, sample, 3)
 
 
+def _discrete_space(size):
+    return DiscreteSpace(np.random.default_rng(size).standard_normal((size, 2)))
+
+
+@pytest.mark.parametrize("size,call,error", [
+    (40_000, lambda sp: certify(sp, PointSet(np.arange(40)), 3), InvalidExponentError),
+    (40_000, lambda sp: certify(sp, PointSet(np.arange(40)), 4), InvalidExponentError),
+    (70_000, lambda sp: certify(sp, PointSet(np.arange(40)), math.inf), UnsupportedNormError),
+    (600_000, lambda sp: nikolskii_constant(sp, 3), UnsupportedNormError),
+], ids=["p3-40000", "p4-40000", "inf-70000", "nikolskii-q3-600000"])
+def test_finite_domain_search_past_max_grid_is_refused(size, call, error, monkeypatch):
+    # a finite domain's grid is all of its points, not one node: 134 x 40,000,
+    # 66 x 70,000 and 8 x 600,000 values pass the cap
+    monkeypatch.setattr(_optim, "extremize_ratio", lambda *a, **k: pytest.fail("the search was reached"))
+    with pytest.raises(error, match=f"x {size} values, more than 4194304"):
+        call(_discrete_space(size))
+
+
+def test_finite_domain_search_just_below_max_grid_runs(monkeypatch):
+    # 134 rows x 31,300 points = 4,194,200 values, within the cap
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(_optim, "extremize_ratio", reached)
+    with pytest.raises(Reached):
+        certify(_discrete_space(31_300), PointSet(np.arange(40)), 3)
+
+
 @pytest.mark.parametrize("p", [2, 3, math.inf])
 def test_best_approx_sends_sampled_values_to_lpw_recover(p):
     # a sample is not an exact quadrature of the domain, so best_approx

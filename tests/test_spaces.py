@@ -320,8 +320,8 @@ def test_tensor_basis_values_match_complex_exp(factors):
 
 
 def test_basis_angles_are_shared_by_frequency_pairs():
-    # one angle column per pair {k, -k}; spectra without pairs skip the gather
+    # one angle column per pair {k, -k}; spectra without pairs gather every column as is
     assert full_trig_space(16)._half.shape == (17, 1)
     assert full_trig_space(2, d=2)._half.shape == (13, 2)
-    assert make_trig_space(1, [[3], [-5], [7]])._cols is None
-    assert make_lacunary_space(5, 2)._cols is None
+    for sp in (make_trig_space(1, [[3], [-5], [7]]), make_lacunary_space(5, 2)):
+        assert np.array_equal(sp._cols, np.arange(sp.dim)) and np.all(sp._signs == 1.0)
