@@ -16,7 +16,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -192,18 +192,6 @@ class ExperimentConfig:
     def kind(self) -> str:
         return self.data["kind"]
 
-    def get(self, path, default=None):
-        """Value at a dotted path; a digit part indexes a list."""
-        cur = self.data
-        for part in path.split("."):
-            if isinstance(cur, list) and part.isdigit() and int(part) < len(cur):
-                cur = cur[int(part)]
-            elif isinstance(cur, dict) and part in cur:
-                cur = cur[part]
-            else:
-                return default
-        return cur
-
 
 @dataclass
 class Report:
@@ -212,8 +200,8 @@ class Report:
     config: dict
     records: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    series: list = field(default_factory=list)
     series_columns: list = field(default_factory=list)
+    series: list = field(default_factory=list)
     wall_clock_s: float = 0.0
     version: str = __version__
     seed: int | None = None
@@ -225,16 +213,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "records": self.records,
-            "summary": self.summary,
-            "series_columns": self.series_columns,
-            "series": self.series,
-            "wall_clock_s": self.wall_clock_s,
-            "version": self.version,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _csv_cell(value) -> str:
@@ -243,11 +222,20 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _fit_exponent(xs, ys):
-    lx, ly = np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
-    return float(slope), resid
+def _fit_exponents(sizes, m_stars, **against):
+    """``exponent_vs_<name>`` and ``residual_vs_<name>``: slope and RMS
+    residual of a line through ``(log x, log m_star)`` for each sequence x of
+    ``against``; none unless ``sizes`` holds two distinct values."""
+    if len(set(sizes)) < 2:
+        return {}
+    out = {}
+    ly = np.log(np.asarray(m_stars, float))
+    for name, xs in against.items():
+        lx = np.log(np.asarray(xs, float))
+        slope, intercept = np.polyfit(lx, ly, 1)
+        out[f"exponent_vs_{name}"] = float(slope)
+        out[f"residual_vs_{name}"] = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
+    return out
 
 
 def _run_certify(report, space, sample, p, budget, seed):
@@ -259,9 +247,7 @@ def _run_certify(report, space, sample, p, budget, seed):
 
 
 def _run_nikolskii(report, space, q, seed):
-    est = nikolskii_constant(space, q)
-    rec = {"q": est.q, "M": est.M, "B": est.B, "method": est.method,
-           "grid_size": est.grid_size}
+    rec = asdict(nikolskii_constant(space, q))
     report.records.append(rec)
     report.summary = dict(rec)
 
@@ -310,13 +296,8 @@ def _run_scaling(report, Ns, m_max_factor, **study):
     spaces = [make_trig_space(1, [[k] for k in range(-(n // 2), n // 2 + 1)]) for n in Ns]
     m_maxes = [math.ceil(m_max_factor * n * math.log2(2 * n)) for n in Ns]
     m_stars = _run_size_study(report, "N", Ns, spaces, m_maxes, **study)
-    alpha_n, resid_n = _fit_exponent(Ns, m_stars)
-    nlogn = [n * math.log2(2 * n) for n in Ns]
-    alpha_nlogn, resid_nlogn = _fit_exponent(nlogn, m_stars)
-    report.summary = {"Ns": Ns, "m_stars": m_stars,
-                      "exponent_vs_N": alpha_n, "residual_vs_N": resid_n,
-                      "exponent_vs_NlogN": alpha_nlogn,
-                      "residual_vs_NlogN": resid_nlogn}
+    report.summary = {"Ns": Ns, "m_stars": m_stars, **_fit_exponents(
+        Ns, m_stars, N=Ns, NlogN=[n * math.log2(2 * n) for n in Ns])}
 
 
 def _run_lacunary(report, ns, ratio, m_max_factor, **study):
@@ -324,10 +305,7 @@ def _run_lacunary(report, ns, ratio, m_max_factor, **study):
     m_maxes = [math.ceil(m_max_factor * n ** (study["p"] / 2.0) * max(1.0, math.log2(2 * n)) ** 3)
                for n in ns]
     m_stars = _run_size_study(report, "n", ns, spaces, m_maxes, **study)
-    report.summary = {"ns": ns, "m_stars": m_stars}
-    if len(ns) > 1:
-        alpha, resid = _fit_exponent(ns, m_stars)
-        report.summary.update({"exponent_vs_n": alpha, "residual_vs_n": resid})
+    report.summary = {"ns": ns, "m_stars": m_stars, **_fit_exponents(ns, m_stars, n=ns)}
 
 
 def _run_tensor(report, factors, factor_samples, p, budget, seed):

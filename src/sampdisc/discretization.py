@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -48,7 +47,8 @@ from .errors import (
     SearchFailedError,
     UnsupportedDomainError,
 )
-from .spaces import TWO_PI, CoefficientVector, Spectrum, Subspace, TrigSpace, product_rows, torus_grid
+from .spaces import (TWO_PI, CoefficientVector, Spectrum, Subspace, TrigSpace, is_count, product_rows,
+                     torus_grid)
 
 logger = logging.getLogger(__name__)
 
@@ -139,15 +139,8 @@ class Certificate:
         return self.c1_pow >= 1.0 - eps and self.c2_pow <= 1.0 + eps
 
     def to_dict(self) -> dict:
-        return {
-            "p": None if self.p == math.inf else self.p,
-            "c1_pow": self.c1_pow,
-            "c2_pow": self.c2_pow,
-            "method": self.method,
-            "status": self.status,
-            "tolerance": self.tolerance,
-            "weighted": self.weighted,
-        }
+        """The fields, with p = inf as None."""
+        return {**asdict(self), "p": None if self.p == math.inf else self.p}
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +175,11 @@ def generate_points(space: Subspace, mode: str, m: int | None = None, *,
         d = space.domain.dim
         if sizes is None:
             _check_count(m, "m")
-            sizes = [int(m)] * d
+            sizes = [m] * d
+        sizes = list(sizes)
+        if len(sizes) != d or not all(map(is_count, sizes)):
+            raise InvalidSampleError(f"need {d} integer grid sizes >= 1, got {sizes!r}")
         sizes = [int(s) for s in sizes]
-        if len(sizes) != d or any(s < 1 for s in sizes):
-            raise InvalidSampleError(f"need {d} positive grid sizes")
         return PointSet(torus_grid(sizes), {"mode": "equispaced", "sizes": sizes})
 
     if mode == "tensor":
@@ -228,10 +222,10 @@ def generate_points(space: Subspace, mode: str, m: int | None = None, *,
     raise InvalidSampleError(f"unknown generation mode {mode!r}")
 
 
-def _check_count(value, name):
-    """Raise InvalidSampleError unless ``value`` is an integer >= 1."""
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise InvalidSampleError(f"need an integer {name} >= 1, got {value!r}")
+def _check_count(value, name, least=1):
+    """Raise InvalidSampleError unless ``value`` is an integer >= ``least``."""
+    if not is_count(value, least):
+        raise InvalidSampleError(f"need an integer {name} >= {least}, got {value!r}")
 
 
 def _seed_repr(seed):
@@ -281,7 +275,7 @@ def _heuristic_p_certificate(space, sample, p, weights, weighted, budget, frame=
     extras = [vt[-1].conj(), vt[0].conj(), np.ones(space.dim) / math.sqrt(space.dim)]
     singular = U.shape[0] < space.dim or (sv.size and sv[-1] <= 1e-10 * sv[0])
     senses = (True,) if singular else (False, True)
-    sizes = norms._power_sizes(space, p, rows=len(senses) * (max(budget, 1) + len(extras)))
+    sizes = norms._power_sizes(space, p, rows=len(senses) * (budget + len(extras)))
     V, gamma = norms.power_rule(space, p)
     hook = None if frame is None else (frame[0].basis_values(space.grid(sizes)), frame[1])
     ratios, _, _ = _optim.extremize_ratio(U, weights, V, gamma, p, restarts=budget, maximize=senses,
@@ -297,7 +291,7 @@ def _sup_certificate(space, sample, budget) -> Certificate:
     U = space.basis_values(sample.points)
     _, sv, vt = np.linalg.svd(U, full_matrices=False)
     extras = [vt[-1].conj(), np.ones(space.dim) / math.sqrt(space.dim)]
-    sizes = norms._sup_sizes(space, rows=max(budget, 1) + len(extras))
+    sizes = norms._sup_sizes(space, rows=budget + len(extras))
     V = space.basis_values(space.grid(sizes))
     wnum = np.full(U.shape[0], 1.0 / U.shape[0])
     wden = np.full(V.shape[0], 1.0 / V.shape[0])
@@ -333,10 +327,13 @@ def certify(space: Subspace, sample: PointSet, p, budget: int = 64) -> Certifica
     ``_MAX_GRID`` values (its rows times those nodes). A finite domain's grid
     is all its points: at the default budget a full-rank sample is refused
     above 31,300 of them at finite p != 2, and above 63,550 at p = inf.
+    ``budget``, the restarts of each heuristic search, is an integer >= 1
+    (InvalidSampleError).
     """
     if sample.m < 1:
         raise InvalidSampleError("empty sample")
     norms.checked_exponent(p)
+    _check_count(budget, "budget")
     weights, weighted = _sample_weights(sample)
     if p == math.inf:
         return _sup_certificate(space, sample, budget)
@@ -463,11 +460,19 @@ def brute_force_certificate(space: Subspace, sample: PointSet, p,
 @dataclass
 class TwoStageBudget:
     """Budgets of the two-stage procedure: a large first draw, the target
-    subset size, and the number of subset retries."""
+    subset size, and the number of subset retries; integers with
+    ``1 <= stage2_m <= stage1_s`` and ``retries >= 0`` (InvalidSampleError)."""
 
     stage1_s: int
     stage2_m: int
     retries: int = 50
+
+    def __post_init__(self):
+        _check_count(self.stage1_s, "stage1_s")
+        _check_count(self.stage2_m, "stage2_m")
+        _check_count(self.retries, "retries", least=0)
+        if self.stage2_m > self.stage1_s:
+            raise InvalidSampleError("need 1 <= stage2_m <= stage1_s")
 
 
 _TWO_STAGE_BUDGET = 32  # restarts of each heuristic two-stage certificate
@@ -487,9 +492,6 @@ def two_stage_subsample(space: Subspace, q, eps: float, budgets: TwoStageBudget,
         raise InvalidExponentError("the two-stage procedure needs q >= 2")
     if not 0 < eps < 1:
         raise InvalidExponentError("eps must lie in (0, 1)")
-    _check_count(budgets.stage2_m, "stage2_m")  # generate_points checks stage1_s
-    if budgets.stage2_m > budgets.stage1_s:
-        raise InvalidSampleError("need 1 <= stage2_m <= stage1_s")
     stage1 = generate_points(space, "iid", budgets.stage1_s, seed=(seed, 0x51))
     cert1 = certify(space, stage1, q, budget=_TWO_STAGE_BUDGET)
     logger.info("two-stage stage1: S=%d c1=%.4f c2=%.4f", stage1.m, cert1.c1_pow, cert1.c2_pow)

@@ -22,6 +22,7 @@ Finite-domain norms are exact weighted sums.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,6 +74,7 @@ class SampleVector:
         return self.values.shape[0]
 
 
+@dataclass(repr=False, eq=False)
 class NikolskiiEstimate:
     """Estimated constant M in ``sup |f| <= M * ||f||_q`` over a subspace.
 
@@ -83,12 +85,11 @@ class NikolskiiEstimate:
     the element a smoothed sphere search found (``grid_size`` sup nodes).
     """
 
-    def __init__(self, q, M, B, method, grid_size=0):
-        self.q = float(q)
-        self.M = float(M)
-        self.B = float(B)
-        self.method = method
-        self.grid_size = int(grid_size)
+    q: float
+    M: float
+    B: float
+    method: str
+    grid_size: int = 0
 
     def __repr__(self):
         return f"NikolskiiEstimate(q={self.q}, M={self.M:.6g}, B={self.B:.6g}, method={self.method!r})"
@@ -427,7 +428,7 @@ def nikolskii_constant(space: Subspace, q) -> NikolskiiEstimate:
     if q == 2:
         t = christoffel_sup(space)
         M = t * math.sqrt(n)
-        return NikolskiiEstimate(q, M, M / n ** 0.5, "analytic", 0)
+        return NikolskiiEstimate(float(q), M, M / n ** 0.5, "analytic", 0)
     sizes = _sup_sizes(space, _NIKOLSKII_ROWS)
     orthonormal_transform(space)  # rejects rank-deficient bases up front
     Vq, gq = power_rule(space, q)
@@ -441,4 +442,5 @@ def nikolskii_constant(space: Subspace, q) -> NikolskiiEstimate:
                                         seed=((101, n, int(round(q * 1000))),), extra_starts=starts)
     f = CoefficientVector(space, c)
     M = sup_argmax(f)[0] / max(norm_p(f, q), 1e-300)
+    q = float(q)
     return NikolskiiEstimate(q, M, M / n ** (1.0 / q), "grid-search", Vs.shape[0])

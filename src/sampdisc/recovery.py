@@ -15,8 +15,8 @@ discretization assumption the bound rests on.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -47,23 +47,23 @@ __all__ = [
 RECOVERY_SLACK = 1.05
 
 
+@dataclass(repr=False, eq=False)
 class RecoveryResult:
     """Outcome of one recovery: coefficients, residual, and solver report."""
 
-    def __init__(self, coefficients, discrete_residual, p, weights_used,
-                 optimizer_report, degenerate=False):
-        self.coefficients = coefficients
-        self.discrete_residual = float(discrete_residual)
-        self.p = float(p)
-        self.weights_used = weights_used
-        self.optimizer_report = optimizer_report
-        self.degenerate = bool(degenerate)
+    coefficients: CoefficientVector
+    discrete_residual: float
+    p: float
+    weights_used: np.ndarray
+    optimizer_report: dict
+    degenerate: bool = False
 
     def __repr__(self):
         return (f"RecoveryResult(p={self.p}, residual={self.discrete_residual:.3e}, "
                 f"degenerate={self.degenerate})")
 
 
+@dataclass(eq=False)
 class RecoveryBoundReport:
     """One verified instance of the recovery error bound.
 
@@ -72,37 +72,28 @@ class RecoveryBoundReport:
     and ``final_grad_norm`` for finite p or ``lower_bound`` at p = inf.
     """
 
-    def __init__(self, c1_norm, c2_weights, bound_constant, lhs, rhs, slack,
-                 d_inf, p, optimizer_report, advisory=False):
-        self.c1_norm = float(c1_norm)
-        self.c2_weights = float(c2_weights)
-        self.bound_constant = float(bound_constant)
-        self.lhs = float(lhs)
-        self.rhs = float(rhs)
-        self.slack = float(slack)
-        self.d_inf = float(d_inf)
-        self.p = float(p)
-        self.advisory = bool(advisory)
-        self.optimizer_report = optimizer_report
+    c1_norm: float
+    c2_weights: float
+    bound_constant: float
+    lhs: float
+    rhs: float
+    slack: float
+    d_inf: float
+    p: float
+    optimizer_report: dict
+    advisory: bool = False
 
     @property
     def holds(self) -> bool:
-        return self.lhs <= self.rhs * self.slack
+        return bool(self.lhs <= self.rhs * self.slack)
 
     def to_dict(self) -> dict:
-        return {
-            "p": None if self.p == math.inf else self.p,
-            "c1_norm": self.c1_norm,
-            "c2_weights": self.c2_weights,
-            "bound_constant": self.bound_constant,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "d_inf": self.d_inf,
-            "holds": self.holds,
-            "advisory": self.advisory,
-            "optimizer": self.optimizer_report,
-        }
+        """The fields, with p = inf as None, ``holds`` added and the solver
+        report under ``optimizer``."""
+        out = asdict(self)
+        out.update(p=None if self.p == math.inf else self.p, holds=self.holds,
+                   optimizer=out.pop("optimizer_report"))
+        return out
 
 
 def lpw_recover(samples: SampleVector, space: Subspace, p, weights) -> RecoveryResult:
@@ -128,7 +119,7 @@ def lpw_recover(samples: SampleVector, space: Subspace, p, weights) -> RecoveryR
     else:
         c, total, report = _optim.minimize_residual(U, y, w, p, None)
         resid = total ** (1.0 / p)
-    return RecoveryResult(CoefficientVector(space, c), resid, p, w, report,
+    return RecoveryResult(CoefficientVector(space, c), float(resid), float(p), w, report,
                           degenerate=report["rank"] < space.dim)
 
 
@@ -179,9 +170,9 @@ def verify_recovery(f, space: Subspace, sample: PointSet, p,
     """
     cert = certify(space, sample, p, budget=64)
     w, _ = _sample_weights(sample)
-    advisory = cert.status != "certified" and allow_heuristic and p == math.inf
+    advisory = bool(cert.status != "certified" and allow_heuristic and p == math.inf)
     if advisory:
-        cert = dataclasses.replace(cert, status="certified")
+        cert = replace(cert, status="certified")
     bound = recovery_bound(cert, w, p)
 
     samples = sample_function(f, sample)
@@ -196,7 +187,7 @@ def verify_recovery(f, space: Subspace, sample: PointSet, p,
     c1_norm = cert.c1_pow if p == math.inf else cert.c1_pow ** (1.0 / p)
     rhs = bound * d_inf
     return RecoveryBoundReport(c1_norm, float(np.sum(w)), bound, lhs, rhs,
-                               RECOVERY_SLACK, d_inf, p, rec.optimizer_report,
+                               RECOVERY_SLACK, d_inf, float(p), rec.optimizer_report,
                                advisory=advisory)
 
 

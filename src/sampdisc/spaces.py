@@ -11,7 +11,9 @@ its inputs, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,45 +46,34 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class TorusDomain:
     """The d-torus with the normalized Lebesgue probability measure."""
 
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise UnsupportedDomainError("torus dimension must be a positive integer")
-        self._dim = int(dim)
+    dim: int
 
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    def __eq__(self, other):
-        return isinstance(other, TorusDomain) and other.dim == self.dim
-
-    def __repr__(self):
-        return f"TorusDomain(dim={self.dim})"
+    def __post_init__(self):
+        if not is_count(self.dim):
+            raise UnsupportedDomainError(f"torus dimension must be an integer >= 1, got {self.dim!r}")
 
 
+@dataclass(frozen=True)
 class FiniteDomain:
     """An ordered set of ``size`` abstract points, each with weight 1/size.
 
     Points are addressed by their index ``0 .. size-1``.
     """
 
-    def __init__(self, size: int):
-        if size < 1:
-            raise UnsupportedDomainError("finite domain needs at least one point")
-        self._size = int(size)
+    size: int
 
-    @property
-    def size(self) -> int:
-        return self._size
+    def __post_init__(self):
+        if not is_count(self.size):
+            raise UnsupportedDomainError(f"finite domain size must be an integer >= 1, got {self.size!r}")
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteDomain) and other.size == self.size
 
-    def __repr__(self):
-        return f"FiniteDomain(size={self.size})"
+def is_count(value, least=1) -> bool:
+    """True for an integer (numpy's too) of at least ``least``."""
+    return isinstance(value, numbers.Integral) and value >= least
 
 
 class Spectrum:
@@ -381,8 +372,8 @@ def make_lacunary_space(n: int, b: float) -> TrigSpace:
     """
     if not 1 < b < math.inf:
         raise InvalidRatioError("growth ratio must be > 1 and finite")
-    if n < 1:
-        raise InvalidSpectrumError("need at least one frequency")
+    if not is_count(n):
+        raise InvalidSpectrumError(f"need an integer number of frequencies >= 1, got {n!r}")
     ks = [1]
     while len(ks) < n:
         ks.append(math.ceil(b * ks[-1]))

@@ -116,6 +116,20 @@ def test_study_scaling_records_curves():
     assert report.series
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("config", [
+    {"kind": "study-scaling", "Ns": [5]},
+    {"kind": "study-scaling", "Ns": [5, 5]},
+    {"kind": "study-lacunary", "ns": [2, 2]},
+], ids=["scaling-one-size", "scaling-one-distinct-size", "lacunary-one-distinct-size"])
+def test_study_fits_no_exponent_without_two_distinct_sizes(config):
+    # a line through one distinct point is a RankWarning and a made-up exponent
+    report = run_experiment(ExperimentConfig(dict(config, p=2, eps=0.5, trials=2,
+                                                  success_threshold=0.5, seed=1)))
+    assert len(report.summary["m_stars"]) == len(config.get("Ns", config.get("ns")))
+    assert not [key for key in report.summary if key.startswith(("exponent_", "residual_"))]
+
+
 def test_study_tensor_multiplicativity():
     trig3 = {"kind": "trig", "dimension": 1, "spectrum": [[-1], [0], [1]]}
     report = run_experiment(ExperimentConfig({
@@ -400,9 +414,65 @@ NESTED = ("space.spectrum", "space.dimension", "sample.m", "sample.mode", "budge
           "target.coefficients", "target.spectrum", "factors.0.spectrum", "factor_samples.1")
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report.json holds the non-JSON constant {name}")
+
+
+CERTIFICATE_KEYS = {"p", "c1_pow", "c2_pow", "method", "status", "tolerance", "weighted"}
+RECORD_KEYS = {
+    "nikolskii": {"q", "M", "B", "method", "grid_size"},
+    "recover": {"p", "c1_norm", "c2_weights", "bound_constant", "lhs", "rhs", "slack", "d_inf",
+                "holds", "advisory", "optimizer"},
+}
+
+
+@pytest.mark.parametrize("kind,p", [
+    ("certify", 2), ("certify", "inf"), ("nikolskii", None), ("generate", None), ("subsample", None),
+    ("recover", 2), ("recover", "inf"), ("study-scaling", None), ("study-lacunary", None),
+    ("study-tensor", None),
+])
+def test_report_records_keep_their_keys_as_strict_json(tmp_path, kind, p):
+    # p = inf is written as null, and no record may hold NaN or Infinity
+    config = dict(FUZZ_BASE[kind], **({} if p is None else {"p": p}))
+    if kind == "subsample":
+        config["budgets"] = dict(config["budgets"], retries=40)
+    if kind == "study-scaling":
+        config["Ns"] = [3, 5]
+    code, out = run_cli(tmp_path, config)
+    assert code == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
+    assert list(report) == ["config", "records", "summary", "series_columns", "series",
+                            "wall_clock_s", "version", "seed"]
+    certificates = list(_walk_certificates(report["records"]))
+    assert all(set(c) == CERTIFICATE_KEYS for c in certificates)
+    if kind == "certify":
+        assert certificates[0]["p"] == (None if p == "inf" else 2.0)
+    if kind in RECORD_KEYS:
+        (record,) = report["records"]
+        assert set(record) == RECORD_KEYS[kind]
+    if kind == "nikolskii":
+        assert report["summary"] == record
+    if kind == "recover":
+        assert record["p"] == (None if p == "inf" else 2.0)
+        assert isinstance(record["holds"], bool) and record["optimizer"]["rank"] == 3
+
+
+def _at(config, path):
+    """Value at a dotted path of a config, a digit part indexing a list; None if absent."""
+    node = config
+    for part in path.split("."):
+        if isinstance(node, list) and part.isdigit() and int(part) < len(node):
+            node = node[int(part)]
+        elif isinstance(node, dict) and part in node:
+            node = node[part]
+        else:
+            return None
+    return node
+
+
 def _fuzz_cases():
     return [(kind, path) for kind, base in FUZZ_BASE.items() for path in [*base, *NESTED]
-            if ExperimentConfig(base).get(path) is not None]
+            if _at(base, path) is not None]
 
 
 def _replaced(config, path, value):

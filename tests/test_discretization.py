@@ -9,6 +9,8 @@ import pytest
 from sampdisc import (
     CoefficientVector,
     DiscreteSpace,
+    FiniteDomain,
+    TorusDomain,
     TwoStageBudget,
     WeightedPointSet,
     brute_force_certificate,
@@ -32,11 +34,13 @@ from sampdisc.errors import (
     ConfigError,
     InvalidPointError,
     InvalidSampleError,
+    InvalidSpectrumError,
     FactorExtractionError,
     InvalidExponentError,
     MissingSeedError,
     OracleTooLargeError,
     SearchFailedError,
+    UnsupportedDomainError,
 )
 
 TWO_PI = 2 * math.pi
@@ -122,6 +126,24 @@ _SP = full_trig_space(2)
         "resolution-0", "resolution-negative", "resolution-float", "set-params-unknown"])
 def test_bad_counts_and_seeds_raise_typed_errors(call, error):
     # a typed SampdiscError, not numpy's or Python's raw ValueError, TypeError or ZeroDivisionError
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: certify(_SP, generate_points(_SP, "iid", 8, seed=1), 3, budget=2.5), InvalidSampleError),
+    (lambda: certify(_SP, generate_points(_SP, "iid", 8, seed=1), 3, budget=-3), InvalidSampleError),
+    (lambda: certify(_SP, generate_points(_SP, "iid", 8, seed=1), 3, budget=0), InvalidSampleError),
+    (lambda: TwoStageBudget(40, 10, retries=2.5), InvalidSampleError),
+    (lambda: TwoStageBudget(40, 10, retries=-1), InvalidSampleError),
+    (lambda: generate_points(_SP, "equispaced", sizes=[2.5]), InvalidSampleError),
+    (lambda: make_lacunary_space(2.5, 2), InvalidSpectrumError),
+    (lambda: TorusDomain(2.5), UnsupportedDomainError),
+    (lambda: FiniteDomain(2.5), UnsupportedDomainError),
+], ids=["budget-float", "budget-negative", "budget-0", "retries-float", "retries-negative",
+        "equispaced-sizes-float", "lacunary-n-float", "torus-dim-float", "finite-size-float"])
+def test_counts_are_integers_in_range_or_a_typed_error(call, error):
+    # each ran silently as a truncated or clamped count, or ended in a raw TypeError
     with pytest.raises(error):
         call()
 

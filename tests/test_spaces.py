@@ -8,7 +8,9 @@ import pytest
 from sampdisc import (
     CoefficientVector,
     DiscreteSpace,
+    FiniteDomain,
     Spectrum,
+    TorusDomain,
     evaluate,
     generate_points,
     gram_matrix,
@@ -325,3 +327,18 @@ def test_basis_angles_are_shared_by_frequency_pairs():
     assert full_trig_space(2, d=2)._half.shape == (13, 2)
     for sp in (make_trig_space(1, [[3], [-5], [7]]), make_lacunary_space(5, 2)):
         assert np.array_equal(sp._cols, np.arange(sp.dim)) and np.all(sp._signs == 1.0)
+
+
+def test_domains_compare_by_value_and_refuse_assignment():
+    assert TorusDomain(2) == TorusDomain(2) and TorusDomain(2) != TorusDomain(3)
+    assert FiniteDomain(5) == FiniteDomain(5) and FiniteDomain(5) != FiniteDomain(4)
+    assert TorusDomain(1) != FiniteDomain(1)
+    assert make_trig_space(2, [[0, 0], [1, 0]]).domain == TorusDomain(2)
+    assert repr(TorusDomain(2)) == "TorusDomain(dim=2)"
+    assert repr(FiniteDomain(7)) == "FiniteDomain(size=7)"
+    torus, finite = TorusDomain(2), FiniteDomain(5)
+    with pytest.raises(AttributeError):
+        torus.dim = 3
+    with pytest.raises(AttributeError):
+        finite.size = 4
+    assert torus.dim == 2 and finite.size == 5
