@@ -99,9 +99,19 @@ RATIO = _check(lambda x: 1 < x < math.inf, "must be > 1 and finite", float)
 POSITIVE = _check(lambda x: 0 < x < math.inf, "must be positive and finite", float)
 FRACTION = _check(lambda x: 0 <= x <= 1, "must lie in [0, 1]", float)
 EPS = _check(lambda x: 0 < x < 1, "eps must lie in (0, 1)", float)
-COUNT = _check(lambda n: n >= 1, "must be >= 1", int)
-NATURAL = _check(lambda n: n >= 0, "must be >= 0", int)
-ODD = _check(lambda n: n >= 1 and n % 2 == 1, "scaling study uses odd N = 2*degree + 1", int)
+
+
+def _integer(value):
+    """``int(value)``, refusing a number with a fractional part."""
+    n = int(value)
+    if isinstance(value, float) and n != value:
+        raise ValueError("must be an integer")
+    return n
+
+
+COUNT = _check(lambda n: n >= 1, "must be >= 1", _integer)
+NATURAL = _check(lambda n: n >= 0, "must be >= 0", _integer)
+ODD = _check(lambda n: n >= 1 and n % 2 == 1, "scaling study uses odd N = 2*degree + 1", _integer)
 COEFFICIENT = _check(lambda z: True, "must be a number or an [re, im] pair",
                      lambda v: complex(*v) if isinstance(v, list) else complex(v))
 TEXT = _check(lambda v: isinstance(v, str), "must be a string")
@@ -115,6 +125,8 @@ def _build_space(desc, path):
     factors = None
     if OBJECT(desc, path).get("kind") == "tensor":
         factors = _read(desc, "factors", _list_of(_build_space), at=f"{path}.")
+    # the counts of a space, read as every other count is
+    desc = {**desc, **{key: COUNT(desc[key], f"{path}.{key}") for key in ("n", "dimension") if key in desc}}
     try:
         return space_from_dict(desc) if factors is None else tensor_product(factors)
     except KeyError as exc:

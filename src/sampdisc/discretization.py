@@ -18,13 +18,18 @@ labeled heuristic: the minimum found is only an upper bound on the true
 lower constant, the maximum a lower bound on the upper one. One stacked
 search finds both. At even p on large samples :func:`certify` hands it the
 same R to steer on, at a cost free of the sample size, and each constant is
-still the direct discrete ratio at the element found.
+still the direct discrete ratio at the element found. The extreme squared
+singular values of R bracket the true constants, rigorously up to
+rounding, and every even-p torus certificate carries them as ``c1_lower``
+and ``c2_upper`` (None where no frame exists; ``report.json`` writes null);
+``c1_pow`` and ``c2_pow`` stay heuristic estimates.
 
 Good point sets are not constructed directly; they are found. The
 module draws random candidates, certifies them a posteriori, and
 searches for the smallest sample size whose success rate clears a
-threshold. Every randomized routine derives an independent
-stream from (seed, context indices) and is bit-reproducible.
+threshold, searching only the trials whose bracket leaves their outcome
+open (see :func:`minimal_m_search`). Every randomized routine derives an
+independent stream from (seed, context indices) and is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -123,7 +128,11 @@ class Certificate:
     ``c1_pow`` and ``c2_pow`` compare p-th powers, except at p = inf where
     ``c1_pow`` is the norm-form constant and ``c2_pow`` is identically 1.
     ``weighted`` records whether the bounds refer to the point set's own
-    weights (True) or to the uniform 1/m weighting.
+    weights (True) or to the uniform 1/m weighting. ``c1_lower`` and
+    ``c2_upper`` bracket the true constants, rigorously up to rounding:
+    the p = 2 eigenvalues, or at even p on the torus the extreme
+    eigenvalues of the sumset frame matrix; None where no frame exists
+    (``c2_upper`` also when the sumset is not built).
     """
 
     p: float
@@ -133,6 +142,8 @@ class Certificate:
     status: str  # certified | heuristic-upper-C1 | heuristic
     tolerance: float | None = None
     weighted: bool = False
+    c1_lower: float | None = None
+    c2_upper: float | None = None
 
     def meets(self, eps: float) -> bool:
         """True when the constants lie within the (1 - eps, 1 + eps) band."""
@@ -258,10 +269,50 @@ def _sumset_space(space: TrigSpace, s: int) -> TrigSpace:
         P = plus(P, P)
 
 
-def _heuristic_p_certificate(space, sample, p, weights, weighted, budget, frame=None) -> Certificate:
+@dataclass
+class _Search:
+    """A heuristic certificate prepared up to its one ``extremize_ratio``
+    call, which ``run()`` makes. ``c1_lower`` and ``c2_upper`` are the
+    frame bracket, None where no frame exists; the search's c1 is at most
+    ``c1_start`` and its c2 at least ``c2_start``, the least and greatest
+    direct ratio at its fixed starts (it only accepts improvements). ``rule``
+    is the :func:`norms.power_rule` it searches on."""
+
+    run: object
+    c1_lower: float | None = None
+    c2_upper: float | None = None
+    c1_start: float = math.inf
+    c2_start: float = -math.inf
+    rule: tuple | None = None
+
+    @property
+    def c1_floor(self) -> float:
+        """``c1_lower``, 0 without one, less ``_MARGIN`` relative for rounding."""
+        return (self.c1_lower or 0.0) * (1 - _MARGIN)
+
+    @property
+    def c2_ceiling(self) -> float:
+        """``c2_upper``, inf without one, plus ``_MARGIN`` relative."""
+        return math.inf if self.c2_upper is None else self.c2_upper * (1 + _MARGIN)
+
+    def verdict(self, eps):
+        """True or False when the bracket or a start ratio, widened by
+        ``_MARGIN``, decides the (1 +- eps) band test; None when only the
+        search can."""
+        inside = self.c1_floor >= 1 - eps and self.c2_ceiling <= 1 + eps
+        outside = self.c1_start * (1 + _MARGIN) < 1 - eps or self.c2_start * (1 - _MARGIN) > 1 + eps
+        return bool(inside) if inside != outside else None
+
+
+_MARGIN = 1e-12  # relative slack on a bracket or start ratio in the probe's decisions
+
+
+def _heuristic_search(space, sample, p, weights, weighted, budget, frame=None, bracket=(None, None),
+                      rule=None) -> _Search:
     """Both constants from one stacked min/max search of ``extremize_ratio``,
     refused (InvalidExponentError) when its rows times the :func:`norms.power_rule`
-    nodes (a finite domain's points) pass ``norms._MAX_GRID``.
+    nodes (a finite domain's points) pass ``norms._MAX_GRID``; ``rule``, if
+    given, is that rule, already built.
 
     ``frame = (lift, R)``, the span of the sumset sK at p = 2s and the R
     factor of its weighted values at the sample, makes the search steer on
@@ -276,13 +327,21 @@ def _heuristic_p_certificate(space, sample, p, weights, weighted, budget, frame=
     singular = U.shape[0] < space.dim or (sv.size and sv[-1] <= 1e-10 * sv[0])
     senses = (True,) if singular else (False, True)
     sizes = norms._power_sizes(space, p, rows=len(senses) * (budget + len(extras)))
-    V, gamma = norms.power_rule(space, p)
-    hook = None if frame is None else (frame[0].basis_values(space.grid(sizes)), frame[1])
-    ratios, _, _ = _optim.extremize_ratio(U, weights, V, gamma, p, restarts=budget, maximize=senses,
-                                          seed=tuple((0xC2 if mx else 0xC1, 0) for mx in senses),
-                                          extra_starts=extras, lift=hook)
-    return Certificate(float(p), 0.0 if singular else max(ratios[0], 0.0), ratios[-1], "optimization-bound",
-                       "heuristic-upper-C1", tolerance=None, weighted=weighted)
+    V, gamma = rule or norms.power_rule(space, p)
+    E = np.array(extras)
+    starts = _optim._power_sum(E @ U.T, weights, p) / np.maximum(_optim._power_sum(E @ V.T, gamma, p), 1e-300)
+
+    def run():
+        hook = None if frame is None else (frame[0].basis_values(space.grid(sizes)), frame[1])
+        ratios, _, _ = _optim.extremize_ratio(U, weights, V, gamma, p, restarts=budget, maximize=senses,
+                                              seed=tuple((0xC2 if mx else 0xC1, 0) for mx in senses),
+                                              extra_starts=extras, lift=hook)
+        return Certificate(float(p), 0.0 if singular else max(ratios[0], 0.0), ratios[-1], "optimization-bound",
+                           "heuristic-upper-C1", tolerance=None, weighted=weighted,
+                           c1_lower=bracket[0], c2_upper=bracket[1])
+
+    return _Search(run, *bracket, c1_start=0.0 if singular else float(np.min(starts)),
+                   c2_start=float(np.max(starts)), rule=(V, gamma))
 
 
 def _sup_certificate(space, sample, budget) -> Certificate:
@@ -308,61 +367,85 @@ def _sup_certificate(space, sample, budget) -> Certificate:
 def certify(space: Subspace, sample: PointSet, p, budget: int = 64) -> Certificate:
     """Compute discretization constants for (space, sample, p).
 
-    p = 2 is exact: the eigenvalues of the sampled Gram matrix. Even integer
-    p = 2s on the torus is exact when every squared singular value of R, the
-    R factor of the weighted basis of the s-fold sumset sK at the sample (so
-    ``R^H R`` is its frame matrix), lies within 1e-12 of 1. Everything else
-    is a randomized-restart optimization bound, ``heuristic-upper-C1``; see
-    the module docstring for its one-sidedness. At p = 2s that search steers
-    on the same R when ``m > nodes * |sK|``, nodes those of the exact rule:
-    the direct numerator costs O(m N) per row and evaluation, the lifted one
-    O(nodes (N + |sK|) + |sK|^2). Direct / lifted time of a stacked p = 4
-    call (16 restarts a sense; best of 3; 2 cores, 1 BLAS thread) on five
-    1-D spaces with N = 2-4: 0.74-1.02 at m <= 48, 0.92-1.26 at m = 96,
-    0.96-1.83 at m = 192, 2.5-6.8 at m = 768 and 8.4-13.8 at m = 1,536.
-    The rule lifts lacunary spaces with N = 2, 3, 4 above m = 27, 102 and
-    330. Finite p raises InvalidExponentError, and p = inf
-    UnsupportedNormError, when the quadrature or sup grid passes
-    ``norms._MAX_GRID`` nodes or the heuristic search would hold more than
-    ``_MAX_GRID`` values (its rows times those nodes). A finite domain's grid
-    is all its points: at the default budget a full-rank sample is refused
-    above 31,300 of them at finite p != 2, and above 63,550 at p = inf.
-    ``budget``, the restarts of each heuristic search, is an integer >= 1
-    (InvalidSampleError).
+    p = 2 is exact: the eigenvalues of the sampled Gram matrix, which are
+    also its bracket. Even integer p = 2s on the torus is exact when every
+    squared singular value of R, the R factor of the weighted basis of the
+    s-fold sumset sK at the sample (so ``R^H R`` is its frame matrix), lies
+    within 1e-12 of 1. Everything else is a randomized-restart optimization
+    bound, ``heuristic-upper-C1``; see the module docstring for its
+    one-sidedness. At p = 2s the certificate carries the frame bracket
+    ``c1_lower <= c1 <= c2 <= c2_upper`` with ``c1_lower = sigma_min(R)^2``
+    (0 when |sK| > m) and ``c2_upper = sigma_max(R)^2``. When sK is not
+    built (s (N - 1) >= m), ``c1_lower`` is 0 and ``c2_upper`` None; on every
+    other heuristic path both are None. The bracket is rigorous up to
+    rounding; ``c1_pow`` and ``c2_pow`` stay the search's estimates, inside
+    it.
+
+    At p = 2s the search steers on the same R when ``m > nodes * |sK|``,
+    nodes those of the exact rule: the direct numerator costs O(m N) per row
+    and evaluation, the lifted one O(nodes (N + |sK|) + |sK|^2). Direct /
+    lifted time of a stacked p = 4 call (16 restarts a sense; best of 3; 2
+    cores, 1 BLAS thread) on five 1-D spaces with N = 2-4: 0.74-1.02 at
+    m <= 48, 0.92-1.26 at m = 96, 0.96-1.83 at m = 192, 2.5-6.8 at m = 768
+    and 8.4-13.8 at m = 1,536. The rule lifts lacunary spaces with
+    N = 2, 3, 4 above m = 27, 102 and 330. Finite p raises
+    InvalidExponentError, and p = inf UnsupportedNormError, when the
+    quadrature or sup grid passes ``norms._MAX_GRID`` nodes or the heuristic
+    search would hold more than ``_MAX_GRID`` values (its rows times those
+    nodes). A finite domain's grid is all its points: at the default budget a
+    full-rank sample is refused above 31,300 of them at finite p != 2, and
+    above 63,550 at p = inf. ``budget``, the restarts of each heuristic
+    search, is an integer >= 1 (InvalidSampleError).
+
+    The work runs in two steps, which :func:`minimal_m_search` calls apart:
+    ``_prepare`` gives the exact certificate or the search with its bracket,
+    and the search's ``run()`` makes the one optimizer call.
     """
+    prep = _prepare(space, sample, p, budget)
+    return prep if isinstance(prep, Certificate) else prep.run()
+
+
+def _prepare(space: Subspace, sample: PointSet, p, budget: int, rule=None) -> Certificate | _Search:
+    """:func:`certify` up to its heuristic search: the exact certificate, or
+    the search with its bracket and start ratios. ``rule`` is passed on to
+    :func:`_heuristic_search`."""
     if sample.m < 1:
         raise InvalidSampleError("empty sample")
     norms.checked_exponent(p)
     _check_count(budget, "budget")
     weights, weighted = _sample_weights(sample)
     if p == math.inf:
-        return _sup_certificate(space, sample, budget)
+        return _Search(lambda: _sup_certificate(space, sample, budget))
     if p == 2:
         U = space.basis_values(sample.points)
         if not isinstance(space, TrigSpace):  # the torus basis is already orthonormal
             U = U @ norms.orthonormal_transform(space)
         lam = np.linalg.eigvalsh(U.conj().T @ (weights[:, None] * U))
-        c2 = float(lam[-1])
-        return Certificate(2.0, max(float(lam[0]), 0.0), c2, "exact-eigen", "certified",
-                           tolerance=1e-12 * max(c2, 1.0), weighted=weighted)
+        c1, c2 = max(float(lam[0]), 0.0), float(lam[-1])
+        return Certificate(2.0, c1, c2, "exact-eigen", "certified", tolerance=1e-12 * max(c2, 1.0),
+                           weighted=weighted, c1_lower=c1, c2_upper=c2)
     if not (norms._is_even_integer(p) and isinstance(space, TrigSpace)):
-        return _heuristic_p_certificate(space, sample, p, weights, weighted, budget)
+        return _heuristic_search(space, sample, p, weights, weighted, budget, rule=rule)
     nodes = math.prod(norms._power_sizes(space, p))  # refuses a rule past _MAX_GRID before anything is built
     s = int(p) // 2
-    frame = None
+    frame, bracket = None, (0.0, None)
     # |sK| >= s (N - 1) + 1, as for any sumset in Z^d: below that the frame
     # test and the lifted search are both out of reach, so sK is not built
     lift = _sumset_space(space, s) if s * (space.dim - 1) < sample.m else None
-    if lift is not None and lift.dim <= sample.m:  # a frame matrix of rank below lift.dim is never I
+    if lift is not None:
         R = np.linalg.qr(np.sqrt(weights)[:, None] * lift.basis_values(sample.points), mode="r")
         lam = np.linalg.svd(R, compute_uv=False) ** 2
-        deviation = float(max(1.0 - lam[-1], lam[0] - 1.0))
-        if deviation <= 1e-12:
-            return Certificate(float(p), 1.0, 1.0, "exact-quadrature", "certified",
-                               tolerance=max(deviation, 1e-15), weighted=weighted)
-        if sample.m > nodes * lift.dim:
-            frame = (lift, R)
-    return _heuristic_p_certificate(space, sample, p, weights, weighted, budget, frame)
+        # a frame matrix of rank below lift.dim (R has m < |sK| rows) is never I
+        bracket = (float(lam[-1]) if lift.dim <= sample.m else 0.0, float(lam[0]))
+        if lift.dim <= sample.m:
+            deviation = float(max(1.0 - lam[-1], lam[0] - 1.0))
+            if deviation <= 1e-12:
+                return Certificate(float(p), 1.0, 1.0, "exact-quadrature", "certified",
+                                   tolerance=max(deviation, 1e-15), weighted=weighted,
+                                   c1_lower=bracket[0], c2_upper=bracket[1])
+            if sample.m > nodes * lift.dim:
+                frame = (lift, R)
+    return _heuristic_search(space, sample, p, weights, weighted, budget, frame, bracket, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +635,18 @@ def minimal_m_search(space: Subspace, p, eps: float, trials: int,
     and succeeds when the constants lie in the (1 +- eps) band. Trials
     derive their streams from (seed, m, trial), so the result is
     deterministic and independent of probing order.
+
+    A probe needs only its successes, least c1 and greatest c2, so it runs
+    the heuristic search of a trial only where that can change them. It
+    prepares every trial as :func:`certify` does; a trial whose frame
+    bracket lies in the band is a success, and one with a start ratio
+    outside it a failure (see ``_Search.verdict``). It searches every
+    undecided trial, then trials in ascending ``c1_lower`` while that is at
+    most the least c1 found, then in descending ``c2_upper`` while that is at
+    least the greatest c2 found. A searched trial makes the same call as in
+    :func:`certify`, so the curve is the one certifying every trial gives,
+    bit for bit. Without a bracket (odd or non-integer p, p = inf, a finite
+    domain) every trial is searched; at p = 2 none is.
     """
     if not 0 < eps < 1:
         raise InvalidExponentError("eps must lie in (0, 1)")
@@ -563,19 +658,25 @@ def minimal_m_search(space: Subspace, p, eps: float, trials: int,
 
     def probe(m: int) -> bool:
         if m not in probed:
-            successes = 0
-            c1s, c2s = [], []
+            preps, rule = [], None
             for t in range(trials):
                 pts = generate_points(space, "iid", m, seed=(seed, m, t))
-                cert = certify(space, pts, p, budget=budget)
-                c1s.append(cert.c1_pow)
-                c2s.append(cert.c2_pow)
-                if cert.meets(eps):
-                    successes += 1
-                logger.debug("probe m=%d trial=%d stream=(%s,%d,%d) c1=%.4f c2=%.4f",
-                             m, t, seed, m, t, cert.c1_pow, cert.c2_pow)
-            probed[m] = CurvePoint(m, trials, successes, min(c1s), max(c2s))
-            logger.info("probe m=%d: %d/%d successes", m, successes, trials)
+                preps.append(_prepare(space, pts, p, budget, rule))
+                rule = getattr(preps[-1], "rule", None) or rule  # one power rule per probe
+            outcomes = _settle(preps, eps)
+            certs = [o for o in outcomes if isinstance(o, Certificate)]
+            successes = sum(o.meets(eps) if isinstance(o, Certificate) else o for o in outcomes)
+            searched = [isinstance(x, _Search) and isinstance(o, Certificate) for x, o in zip(preps, outcomes)]
+            for t, (x, o) in enumerate(zip(preps, outcomes)):
+                logger.debug("probe m=%d trial=%d stream=(%s,%d,%d) %s c1_lower=%s c2_upper=%s "
+                             "starts=%s/%s c1=%s c2=%s", m, t, seed, m, t,
+                             "searched" if searched[t] else "decided", x.c1_lower, x.c2_upper,
+                             getattr(x, "c1_start", None), getattr(x, "c2_start", None),
+                             getattr(o, "c1_pow", None), getattr(o, "c2_pow", None))
+            probed[m] = CurvePoint(m, trials, successes, min(c.c1_pow for c in certs),
+                                   max(c.c2_pow for c in certs))
+            logger.info("probe m=%d: %d/%d successes, %d/%d searched", m, successes, trials, sum(searched),
+                        trials)
         pt = probed[m]
         return pt.successes >= success_threshold * pt.trials
 
@@ -594,6 +695,33 @@ def minimal_m_search(space: Subspace, p, eps: float, trials: int,
         else:
             lo = mid
     return MinimalMResult(hi, curve())
+
+
+def _settle(preps, eps):
+    """Per trial, its Certificate, or its band verdict (a bool) if its search
+    need not run: :func:`minimal_m_search`'s pruning of ``preps``, each a
+    Certificate or a ``_Search`` from ``_prepare``."""
+    out = list(preps)
+    for i, x in enumerate(preps):
+        if isinstance(x, _Search):
+            verdict = x.verdict(eps)
+            out[i] = x.run() if verdict is None else verdict
+
+    def left():
+        return [i for i, o in enumerate(out) if not isinstance(o, Certificate)]
+
+    def found():
+        return [o for o in out if isinstance(o, Certificate)]
+
+    for i in sorted(left(), key=lambda i: preps[i].c1_floor):
+        if preps[i].c1_floor > min((c.c1_pow for c in found()), default=math.inf):
+            break
+        out[i] = preps[i].run()
+    for i in sorted(left(), key=lambda i: -preps[i].c2_ceiling):
+        if preps[i].c2_ceiling < max((c.c2_pow for c in found()), default=-math.inf):
+            break
+        out[i] = preps[i].run()
+    return out
 
 
 def success_curve_csv(curve) -> str:

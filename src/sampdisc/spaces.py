@@ -464,9 +464,9 @@ def space_from_dict(desc: dict) -> TrigSpace:
     kind = desc.get("kind")
     if kind == "trig":
         spec = Spectrum(desc["spectrum"], lacunary_ratio=desc.get("lacunary_ratio"))
-        return make_trig_space(int(desc["dimension"]), spec)
+        return make_trig_space(desc["dimension"], spec)
     if kind == "lacunary":
-        return make_lacunary_space(int(desc["n"]), float(desc["ratio"]))
+        return make_lacunary_space(desc["n"], float(desc["ratio"]))
     if kind == "tensor":
         return tensor_product([space_from_dict(f) for f in desc["factors"]])
     raise UnsupportedDomainError(f"unknown space kind {kind!r}")

@@ -241,6 +241,16 @@ def test_cli_config_error_exit_code(tmp_path):
     ({"kind": "generate", "space": TRIG3, "sample": {"mode": "equispaced"}}, "sample.m"),
     ({"kind": "generate", "space": TRIG3, "sample": {"mode": "equispaced", "sizes": [4, 4]}},
      "sample.sizes"),
+    # counts with a fractional part, which ran truncated and exited 0
+    ({"kind": "certify", "space": TRIG3, "sample": {"mode": "iid", "m": 20.5}, "p": 2, "seed": 1}, "sample.m"),
+    ({"kind": "study-lacunary", "ns": [2], "p": 4, "eps": 0.5, "trials": 2.9, "success_threshold": 0.5,
+      "seed": 1, "budget": 4}, "trials"),
+    ({"kind": "study-lacunary", "ns": [2, 3.7], "p": 4, "eps": 0.5, "trials": 2, "success_threshold": 0.5,
+      "seed": 1, "budget": 4}, "ns.1"),
+    ({"kind": "certify", "space": {"kind": "lacunary", "n": 2.5, "ratio": 2},
+      "sample": {"mode": "iid", "m": 20}, "p": 2, "seed": 1}, "space.n"),
+    ({"kind": "certify", "space": {"kind": "trig", "dimension": 1.7, "spectrum": [[0], [1]]},
+      "sample": {"mode": "iid", "m": 20}, "p": 2, "seed": 1}, "space.dimension"),
 ])
 def test_cli_malformed_field_exits_2_without_traceback(tmp_path, config, field):
     cfg = tmp_path / "config.json"
@@ -418,7 +428,7 @@ def _refuse_constant(name):
     raise ValueError(f"report.json holds the non-JSON constant {name}")
 
 
-CERTIFICATE_KEYS = {"p", "c1_pow", "c2_pow", "method", "status", "tolerance", "weighted"}
+CERTIFICATE_KEYS = {"p", "c1_pow", "c2_pow", "method", "status", "tolerance", "weighted", "c1_lower", "c2_upper"}
 RECORD_KEYS = {
     "nikolskii": {"q", "M", "B", "method", "grid_size"},
     "recover": {"p", "c1_norm", "c2_weights", "bound_constant", "lhs", "rhs", "slack", "d_inf",

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -360,7 +361,7 @@ def test_sumset_by_doubling_matches_repeated_sums(spectrum, s):
 
 
 def _heuristic_inputs(space, sample, p):
-    # the inputs of discretization._heuristic_p_certificate, with the sumset hook built for any m
+    # the inputs of discretization._heuristic_search's optimizer call, with the sumset hook built for any m
     w = np.full(sample.m, 1.0 / sample.m)
     U = space.basis_values(sample.points)
     V, gamma = norms.power_rule(space, p)
@@ -397,7 +398,7 @@ def test_lifted_certificate_agrees_with_the_direct_search(n, m, monkeypatch):
     cert = certify(sp, pts, 4, budget=16)
     assert lifted and (cert.method, cert.status) == ("optimization-bound", "heuristic-upper-C1")
     w = np.full(m, 1.0 / m)
-    direct = discretization._heuristic_p_certificate(sp, pts, 4, w, False, 16)
+    direct = discretization._heuristic_search(sp, pts, 4, w, False, 16).run()
     assert cert.c1_pow == pytest.approx(direct.c1_pow, rel=1e-9)
     assert cert.c2_pow == pytest.approx(direct.c2_pow, rel=1e-9)
 
@@ -441,22 +442,19 @@ def _gram_deviation(space, sample, p):
 
 
 @pytest.mark.parametrize("p", [4, 6])
-def test_frame_deviation_from_the_factor_matches_the_gram_eigenvalues(p, monkeypatch):
+def test_frame_deviation_from_the_factor_matches_the_gram_eigenvalues(p):
     sp = make_lacunary_space(2, 2)
     # equispaced nodes are exact, and certify reports the deviation as the tolerance
     exact = generate_points(sp, "equispaced", 5)
     cert = certify(sp, exact, p)
     assert cert.method == "exact-quadrature"
     assert cert.tolerance == pytest.approx(max(_gram_deviation(sp, exact, p), 1e-15), abs=1e-14)
-    # iid nodes are not; above the lift rule certify hands its R on, and the
-    # deviation read off sigma(R)^2 is the Gram one
+    # iid nodes are not; above the lift rule certify reports sigma(R)^2 as its
+    # bracket, and the deviation read off it is the Gram one
     iid = generate_points(sp, "iid", 60, seed=5)
-    frames = []
-    monkeypatch.setattr(discretization, "_heuristic_p_certificate", lambda *args: frames.append(args[-1]))
-    certify(sp, iid, p)
-    lam = np.linalg.svd(frames[0][1], compute_uv=False) ** 2
+    cert = certify(sp, iid, p)
     deviation = _gram_deviation(sp, iid, p)
-    assert max(1.0 - lam[-1], lam[0] - 1.0) == pytest.approx(deviation, abs=1e-14)
+    assert max(1.0 - cert.c1_lower, cert.c2_upper - 1.0) == pytest.approx(deviation, abs=1e-14)
     assert deviation > 1e-12
 
 
@@ -683,6 +681,133 @@ def test_minimal_m_search_failure_carries_curve():
     with pytest.raises(SearchFailedError) as info:
         minimal_m_search(sp, 2, 0.01, 5, 0.99, seed=7, m_max=sp.dim + 2)
     assert len(info.value.curve) >= 1
+
+
+# ---------------------------------------------------------------------------
+# frame brackets and probe pruning
+
+
+def _bracket_case(n, m, p, seed):
+    sp = make_lacunary_space(n, 2)
+    return sp, generate_points(sp, "iid", m, seed=(seed, m))
+
+
+# lacunary K = {1, 2, 4, ...}: |2K| = 3 and 6 at n = 2 and 3, |3K| = 4 and 9;
+# sK is built when s (n - 1) < m, and c1_lower is 0 when |sK| > m
+@pytest.mark.parametrize("n,m,p,built,full", [
+    (2, 2, 4, False, False), (3, 4, 4, False, False), (3, 5, 4, True, False), (2, 9, 4, True, True),
+    (3, 30, 4, True, True), (2, 3, 6, False, False), (3, 6, 6, False, False), (3, 7, 6, True, False),
+    (2, 20, 6, True, True), (3, 45, 6, True, True),
+])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_frame_bracket_holds_the_estimate(n, m, p, built, full, seed):
+    cert = certify(*_bracket_case(n, m, p, seed), p, budget=8)
+    assert cert.method == "optimization-bound"
+    assert (cert.c2_upper is not None) == built
+    assert (cert.c1_lower > 0) == full
+    assert cert.c1_lower * (1 - 1e-12) <= cert.c1_pow
+    assert not built or cert.c2_pow <= cert.c2_upper * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("n,m,p", [(3, 5, 4), (3, 30, 4), (2, 20, 6), (3, 60, 6)])
+def test_frame_bracket_does_not_depend_on_point_order(n, m, p):
+    sp, pts = _bracket_case(n, m, p, 3)
+    shuffled = PointSet(pts.points[np.random.default_rng(m).permutation(m)])
+    a, b = certify(sp, pts, p, budget=2), certify(sp, shuffled, p, budget=2)
+    assert b.c1_lower == pytest.approx(a.c1_lower, rel=1e-12, abs=1e-15)
+    assert b.c2_upper == pytest.approx(a.c2_upper, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,m,p", [(2, 6, 4), (2, 12, 6), (3, 20, 4)])
+def test_oracle_lies_in_the_frame_bracket(n, m, p):
+    sp, pts = _bracket_case(n, m, p, 4)
+    cert = certify(sp, pts, p, budget=2)
+    oracle = brute_force_certificate(sp, pts, p)
+    assert cert.c1_lower > 0
+    assert oracle.c1_pow >= cert.c1_lower - oracle.tolerance
+    assert oracle.c2_pow <= cert.c2_upper + oracle.tolerance
+
+
+def test_p2_and_exact_quadrature_certificates_carry_their_bracket():
+    sp = make_lacunary_space(2, 2)
+    cert = certify(sp, generate_points(sp, "iid", 9, seed=1), 2)
+    assert (cert.c1_lower, cert.c2_upper) == (cert.c1_pow, cert.c2_pow)
+    cert = certify(sp, generate_points(sp, "equispaced", 5), 4)
+    assert cert.method == "exact-quadrature"
+    assert cert.c1_lower == pytest.approx(1.0, abs=1e-12) and cert.c2_upper == pytest.approx(1.0, abs=1e-12)
+    cert = certify(sp, generate_points(sp, "iid", 9, seed=1), 3, budget=2)
+    assert (cert.c1_lower, cert.c2_upper) == (None, None)
+
+
+def _every_trial(space, p, eps, trials, seed, budget, ms):
+    # the probes before pruning: certify every trial at each size
+    points = []
+    for m in ms:
+        certs = [certify(space, generate_points(space, "iid", m, seed=(seed, m, t)), p, budget=budget)
+                 for t in range(trials)]
+        points.append(discretization.CurvePoint(m, trials, sum(c.meets(eps) for c in certs),
+                                                min(c.c1_pow for c in certs), max(c.c2_pow for c in certs)))
+    return points
+
+
+def _pruned_search(space, p, eps, seed, monkeypatch, caplog, trials=6, m_max=None):
+    """The curve of minimal_m_search, each probed trial's log mark, and the
+    (m, trial) of every trial whose points reached the optimizer."""
+    reached = []
+    optimize = _optim.extremize_ratio
+    monkeypatch.setattr(_optim, "extremize_ratio", lambda U, *a, **kw: reached.append(U) or optimize(U, *a, **kw))
+    with caplog.at_level(logging.DEBUG, logger="sampdisc.discretization"):
+        try:
+            curve = minimal_m_search(space, p, eps, trials, 0.5, seed=seed, m_max=m_max, budget=4).curve
+        except SearchFailedError as exc:
+            curve = exc.curve
+    marks = {(int(m), int(t)): mark for m, t, mark in
+             re.findall(r"probe m=(\d+) trial=(\d+) stream=\S+ (searched|decided)", caplog.text)}
+    caplog.clear()
+    values = {key: space.basis_values(generate_points(space, "iid", key[0], seed=(seed, *key)).points)
+              for key in marks}
+    hits = [key for key in marks if any(np.array_equal(U, values[key]) for U in reached)]
+    assert len(hits) == len(reached)
+    return curve, marks, set(hits)
+
+
+@pytest.mark.parametrize("n,p", [(2, 4), (2, 6), (3, 4), (3, 6)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pruned_probes_give_the_curve_of_every_trial(n, p, seed, monkeypatch, caplog):
+    sp = make_lacunary_space(n, 2)
+    curve, marks, reached = _pruned_search(sp, p, 0.5, seed, monkeypatch, caplog)
+    assert len(marks) == 6 * len(curve)
+    assert reached == {key for key, mark in marks.items() if mark == "searched"}
+    assert len(reached) < len(marks)  # some trial was decided and never searched
+    monkeypatch.undo()
+    assert curve == _every_trial(sp, p, 0.5, 6, seed, 4, [pt.m for pt in curve])
+
+
+def test_pruned_probes_search_every_undecided_trial(monkeypatch, caplog):
+    # at eps = 0.95 every trial's bracket and start ratios leave the band test
+    # open at m = 2 and 3 (seed 10, 3 trials, found by a scan of seeds < 60),
+    # so every trial is searched
+    sp = make_lacunary_space(2, 2)
+    decided = []
+    verdict = discretization._Search.verdict
+    monkeypatch.setattr(discretization._Search, "verdict",
+                        lambda self, eps: decided.append(verdict(self, eps)) or decided[-1])
+    curve, marks, reached = _pruned_search(sp, 4, 0.95, 10, monkeypatch, caplog, trials=3, m_max=3)
+    assert decided and set(decided) == {None}
+    assert reached == set(marks)
+    monkeypatch.undo()
+    assert curve == _every_trial(sp, 4, 0.95, 3, 10, 4, [pt.m for pt in curve])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_probes_without_a_bracket_work_as_before(p, monkeypatch, caplog):
+    # p = 2 is final before any search; p = 3 has no frame, so every trial is searched
+    sp = make_lacunary_space(2, 2)
+    curve, marks, reached = _pruned_search(sp, p, 0.5, 1, monkeypatch, caplog, trials=3, m_max=40)
+    assert reached == (set() if p == 2 else set(marks))
+    assert set(marks.values()) == {"decided" if p == 2 else "searched"}
+    monkeypatch.undo()
+    assert curve == _every_trial(sp, p, 0.5, 3, 1, 4, [pt.m for pt in curve])
 
 
 def test_success_curve_csv_format():
