@@ -102,7 +102,9 @@ EPS = _check(lambda x: 0 < x < 1, "eps must lie in (0, 1)", float)
 
 
 def _integer(value):
-    """``int(value)``, refusing a number with a fractional part."""
+    """``int(value)``, refusing a string and a number with a fractional part."""
+    if isinstance(value, str):
+        raise TypeError("must be a number, not a string")
     n = int(value)
     if isinstance(value, float) and n != value:
         raise ValueError("must be an integer")
@@ -333,9 +335,9 @@ def _run_tensor(report, factors, factor_samples, p, budget, seed):
     c2_prod = math.prod(c.c2_pow for c in certs)
     inside = (tensor_cert.c1_pow >= c1_prod - 1e-8) and (tensor_cert.c2_pow <= c2_prod + 1e-8)
     if all(sp.contains_constant for sp in factors):
-        for i, sp in enumerate(factors):
-            fac_set, transferred = extract_factor(tensor_space, tensor_set, i, tensor_cert)
-            direct = certify(sp, fac_set, p, budget=budget)
+        # extract_factor's set is tensor_set.factors[i], certified above as certs[i]
+        for i, direct in enumerate(certs):
+            _, transferred = extract_factor(tensor_space, tensor_set, i, tensor_cert)
             report.records.append({"factor": i, "transferred": transferred.to_dict(),
                                    "direct": direct.to_dict()})
     report.summary = {"c1_product": c1_prod, "c2_product": c2_prod,

@@ -271,19 +271,20 @@ def _sumset_space(space: TrigSpace, s: int) -> TrigSpace:
 
 @dataclass
 class _Search:
-    """A heuristic certificate prepared up to its one ``extremize_ratio``
-    call, which ``run()`` makes. ``c1_lower`` and ``c2_upper`` are the
-    frame bracket, None where no frame exists; the search's c1 is at most
-    ``c1_start`` and its c2 at least ``c2_start``, the least and greatest
-    direct ratio at its fixed starts (it only accepts improvements). ``rule``
-    is the :func:`norms.power_rule` it searches on."""
+    """A certificate prepared up to its one ``extremize_ratio`` call, which
+    ``run()`` makes; :func:`_prepare` returns one on every path. An exact
+    certificate comes as a search already done: ``run()`` returns it, its
+    bracket is the certificate's, and its start ratios are its constants.
+    ``c1_lower`` and ``c2_upper`` are the frame bracket, None where no frame
+    exists; the search's c1 is at most ``c1_start`` and its c2 at least
+    ``c2_start``, the least and greatest direct ratio at its fixed starts (it
+    only accepts improvements)."""
 
     run: object
     c1_lower: float | None = None
     c2_upper: float | None = None
     c1_start: float = math.inf
     c2_start: float = -math.inf
-    rule: tuple | None = None
 
     @property
     def c1_floor(self) -> float:
@@ -307,12 +308,15 @@ class _Search:
 _MARGIN = 1e-12  # relative slack on a bracket or start ratio in the probe's decisions
 
 
-def _heuristic_search(space, sample, p, weights, weighted, budget, frame=None, bracket=(None, None),
-                      rule=None) -> _Search:
+def _done(cert: Certificate) -> _Search:
+    """The search of an exact certificate, already done."""
+    return _Search(lambda: cert, cert.c1_lower, cert.c2_upper, cert.c1_pow, cert.c2_pow)
+
+
+def _heuristic_search(space, sample, p, budget, frame=None, bracket=(None, None)) -> _Search:
     """Both constants from one stacked min/max search of ``extremize_ratio``,
     refused (InvalidExponentError) when its rows times the :func:`norms.power_rule`
-    nodes (a finite domain's points) pass ``norms._MAX_GRID``; ``rule``, if
-    given, is that rule, already built.
+    nodes (a finite domain's points) pass ``norms._MAX_GRID``.
 
     ``frame = (lift, R)``, the span of the sumset sK at p = 2s and the R
     factor of its weighted values at the sample, makes the search steer on
@@ -320,6 +324,7 @@ def _heuristic_search(space, sample, p, weights, weighted, budget, frame=None, b
     :func:`certify` passes it when it pays. Either way the constants are the
     direct discrete ratios at the elements found.
     """
+    weights, weighted = _sample_weights(sample)
     U = space.basis_values(sample.points)
     # adversarial starts: near-null directions of the sampled system
     _, sv, vt = np.linalg.svd(U, full_matrices=False)
@@ -327,7 +332,7 @@ def _heuristic_search(space, sample, p, weights, weighted, budget, frame=None, b
     singular = U.shape[0] < space.dim or (sv.size and sv[-1] <= 1e-10 * sv[0])
     senses = (True,) if singular else (False, True)
     sizes = norms._power_sizes(space, p, rows=len(senses) * (budget + len(extras)))
-    V, gamma = rule or norms.power_rule(space, p)
+    V, gamma = norms.power_rule(space, p)
     E = np.array(extras)
     starts = _optim._power_sum(E @ U.T, weights, p) / np.maximum(_optim._power_sum(E @ V.T, gamma, p), 1e-300)
 
@@ -341,7 +346,7 @@ def _heuristic_search(space, sample, p, weights, weighted, budget, frame=None, b
                            c1_lower=bracket[0], c2_upper=bracket[1])
 
     return _Search(run, *bracket, c1_start=0.0 if singular else float(np.min(starts)),
-                   c2_start=float(np.max(starts)), rule=(V, gamma))
+                   c2_start=float(np.max(starts)))
 
 
 def _sup_certificate(space, sample, budget) -> Certificate:
@@ -398,19 +403,16 @@ def certify(space: Subspace, sample: PointSet, p, budget: int = 64) -> Certifica
     search, is an integer >= 1 (InvalidSampleError).
 
     The work runs in two steps, which :func:`minimal_m_search` calls apart:
-    ``_prepare`` gives the exact certificate or the search with its bracket,
-    and the search's ``run()`` makes the one optimizer call.
+    ``_prepare`` gives the search with its bracket, and its ``run()`` makes
+    the one optimizer call, or at once returns an exact certificate.
     """
-    prep = _prepare(space, sample, p, budget)
-    return prep if isinstance(prep, Certificate) else prep.run()
+    return _prepare(space, sample, p, budget).run()
 
 
-def _prepare(space: Subspace, sample: PointSet, p, budget: int, rule=None) -> Certificate | _Search:
-    """:func:`certify` up to its heuristic search: the exact certificate, or
-    the search with its bracket and start ratios. ``rule`` is passed on to
-    :func:`_heuristic_search`."""
-    if sample.m < 1:
-        raise InvalidSampleError("empty sample")
+def _prepare(space: Subspace, sample: PointSet, p, budget: int) -> _Search:
+    """:func:`certify` up to its heuristic search: the search with its bracket
+    and start ratios, already done for an exact certificate. Each call builds
+    its own power rule."""
     norms.checked_exponent(p)
     _check_count(budget, "budget")
     weights, weighted = _sample_weights(sample)
@@ -422,30 +424,28 @@ def _prepare(space: Subspace, sample: PointSet, p, budget: int, rule=None) -> Ce
             U = U @ norms.orthonormal_transform(space)
         lam = np.linalg.eigvalsh(U.conj().T @ (weights[:, None] * U))
         c1, c2 = max(float(lam[0]), 0.0), float(lam[-1])
-        return Certificate(2.0, c1, c2, "exact-eigen", "certified", tolerance=1e-12 * max(c2, 1.0),
-                           weighted=weighted, c1_lower=c1, c2_upper=c2)
+        return _done(Certificate(2.0, c1, c2, "exact-eigen", "certified", tolerance=1e-12 * max(c2, 1.0),
+                                 weighted=weighted, c1_lower=c1, c2_upper=c2))
     if not (norms._is_even_integer(p) and isinstance(space, TrigSpace)):
-        return _heuristic_search(space, sample, p, weights, weighted, budget, rule=rule)
+        return _heuristic_search(space, sample, p, budget)
     nodes = math.prod(norms._power_sizes(space, p))  # refuses a rule past _MAX_GRID before anything is built
     s = int(p) // 2
-    frame, bracket = None, (0.0, None)
     # |sK| >= s (N - 1) + 1, as for any sumset in Z^d: below that the frame
     # test and the lifted search are both out of reach, so sK is not built
-    lift = _sumset_space(space, s) if s * (space.dim - 1) < sample.m else None
-    if lift is not None:
-        R = np.linalg.qr(np.sqrt(weights)[:, None] * lift.basis_values(sample.points), mode="r")
-        lam = np.linalg.svd(R, compute_uv=False) ** 2
-        # a frame matrix of rank below lift.dim (R has m < |sK| rows) is never I
-        bracket = (float(lam[-1]) if lift.dim <= sample.m else 0.0, float(lam[0]))
-        if lift.dim <= sample.m:
-            deviation = float(max(1.0 - lam[-1], lam[0] - 1.0))
-            if deviation <= 1e-12:
-                return Certificate(float(p), 1.0, 1.0, "exact-quadrature", "certified",
-                                   tolerance=max(deviation, 1e-15), weighted=weighted,
-                                   c1_lower=bracket[0], c2_upper=bracket[1])
-            if sample.m > nodes * lift.dim:
-                frame = (lift, R)
-    return _heuristic_search(space, sample, p, weights, weighted, budget, frame, bracket, rule)
+    if s * (space.dim - 1) >= sample.m:
+        return _heuristic_search(space, sample, p, budget, bracket=(0.0, None))
+    lift = _sumset_space(space, s)
+    R = np.linalg.qr(np.sqrt(weights)[:, None] * lift.basis_values(sample.points), mode="r")
+    lam = np.linalg.svd(R, compute_uv=False) ** 2
+    # a frame matrix of rank below lift.dim (R has m < |sK| rows) is never I: c1_lower = 0 fails
+    bracket = (float(lam[-1]) if lift.dim <= sample.m else 0.0, float(lam[0]))
+    deviation = max(1.0 - bracket[0], bracket[1] - 1.0)
+    if deviation <= 1e-12:
+        return _done(Certificate(float(p), 1.0, 1.0, "exact-quadrature", "certified",
+                                 tolerance=max(deviation, 1e-15), weighted=weighted,
+                                 c1_lower=bracket[0], c2_upper=bracket[1]))
+    frame = (lift, R) if sample.m > nodes * lift.dim else None
+    return _heuristic_search(space, sample, p, budget, frame, bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -638,15 +638,18 @@ def minimal_m_search(space: Subspace, p, eps: float, trials: int,
 
     A probe needs only its successes, least c1 and greatest c2, so it runs
     the heuristic search of a trial only where that can change them. It
-    prepares every trial as :func:`certify` does; a trial whose frame
-    bracket lies in the band is a success, and one with a start ratio
-    outside it a failure (see ``_Search.verdict``). It searches every
-    undecided trial, then trials in ascending ``c1_lower`` while that is at
-    most the least c1 found, then in descending ``c2_upper`` while that is at
-    least the greatest c2 found. A searched trial makes the same call as in
-    :func:`certify`, so the curve is the one certifying every trial gives,
-    bit for bit. Without a bracket (odd or non-integer p, p = inf, a finite
-    domain) every trial is searched; at p = 2 none is.
+    prepares every trial as a search, as :func:`certify` does; a trial whose
+    frame bracket lies in the band is a success, and one with a start ratio
+    outside it a failure (see ``_Search.verdict``). It runs every undecided
+    trial, then trials in ascending ``c1_lower`` while that is at most the
+    least c1 found, then in descending ``c2_upper`` while that is at least
+    the greatest c2 found. A run makes the same call as in :func:`certify`,
+    so the curve is the one certifying every trial gives, bit for bit. An
+    exact trial (p = 2, or exact quadrature at even p) is a search already
+    done, bracketed by its own constants, so its run calls no optimizer; the
+    debug log marks a trial ``searched`` only when its optimizer ran.
+    Without a bracket (odd or non-integer p, p = inf, a finite domain) every
+    trial is searched; at p = 2 none is.
     """
     if not 0 < eps < 1:
         raise InvalidExponentError("eps must lie in (0, 1)")
@@ -658,21 +661,17 @@ def minimal_m_search(space: Subspace, p, eps: float, trials: int,
 
     def probe(m: int) -> bool:
         if m not in probed:
-            preps, rule = [], None
-            for t in range(trials):
-                pts = generate_points(space, "iid", m, seed=(seed, m, t))
-                preps.append(_prepare(space, pts, p, budget, rule))
-                rule = getattr(preps[-1], "rule", None) or rule  # one power rule per probe
+            preps = [_prepare(space, generate_points(space, "iid", m, seed=(seed, m, t)), p, budget)
+                     for t in range(trials)]
             outcomes = _settle(preps, eps)
-            certs = [o for o in outcomes if isinstance(o, Certificate)]
-            successes = sum(o.meets(eps) if isinstance(o, Certificate) else o for o in outcomes)
-            searched = [isinstance(x, _Search) and isinstance(o, Certificate) for x, o in zip(preps, outcomes)]
+            certs = [o for o in outcomes if o is not None]
+            successes = sum(x.verdict(eps) if o is None else o.meets(eps) for x, o in zip(preps, outcomes))
+            searched = [o is not None and o.method == "optimization-bound" for o in outcomes]
             for t, (x, o) in enumerate(zip(preps, outcomes)):
                 logger.debug("probe m=%d trial=%d stream=(%s,%d,%d) %s c1_lower=%s c2_upper=%s "
                              "starts=%s/%s c1=%s c2=%s", m, t, seed, m, t,
                              "searched" if searched[t] else "decided", x.c1_lower, x.c2_upper,
-                             getattr(x, "c1_start", None), getattr(x, "c2_start", None),
-                             getattr(o, "c1_pow", None), getattr(o, "c2_pow", None))
+                             x.c1_start, x.c2_start, *((None, None) if o is None else (o.c1_pow, o.c2_pow)))
             probed[m] = CurvePoint(m, trials, successes, min(c.c1_pow for c in certs),
                                    max(c.c2_pow for c in certs))
             logger.info("probe m=%d: %d/%d successes, %d/%d searched", m, successes, trials, sum(searched),
@@ -698,27 +697,16 @@ def minimal_m_search(space: Subspace, p, eps: float, trials: int,
 
 
 def _settle(preps, eps):
-    """Per trial, its Certificate, or its band verdict (a bool) if its search
-    need not run: :func:`minimal_m_search`'s pruning of ``preps``, each a
-    Certificate or a ``_Search`` from ``_prepare``."""
-    out = list(preps)
-    for i, x in enumerate(preps):
-        if isinstance(x, _Search):
-            verdict = x.verdict(eps)
-            out[i] = x.run() if verdict is None else verdict
-
-    def left():
-        return [i for i, o in enumerate(out) if not isinstance(o, Certificate)]
-
-    def found():
-        return [o for o in out if isinstance(o, Certificate)]
-
-    for i in sorted(left(), key=lambda i: preps[i].c1_floor):
-        if preps[i].c1_floor > min((c.c1_pow for c in found()), default=math.inf):
+    """:func:`minimal_m_search`'s pruning: per ``_Search`` of ``preps``, its
+    Certificate, or None if its verdict decides it and its constants cannot
+    change the probe's least c1 or greatest c2."""
+    out = [x.run() if x.verdict(eps) is None else None for x in preps]
+    for i in sorted((i for i, o in enumerate(out) if o is None), key=lambda i: preps[i].c1_floor):
+        if preps[i].c1_floor > min((o.c1_pow for o in out if o is not None), default=math.inf):
             break
         out[i] = preps[i].run()
-    for i in sorted(left(), key=lambda i: -preps[i].c2_ceiling):
-        if preps[i].c2_ceiling < max((c.c2_pow for c in found()), default=-math.inf):
+    for i in sorted((i for i, o in enumerate(out) if o is None), key=lambda i: -preps[i].c2_ceiling):
+        if preps[i].c2_ceiling < max((o.c2_pow for o in out if o is not None), default=-math.inf):
             break
         out[i] = preps[i].run()
     return out

@@ -130,8 +130,11 @@ def test_study_fits_no_exponent_without_two_distinct_sizes(config):
     assert not [key for key in report.summary if key.startswith(("exponent_", "residual_"))]
 
 
-def test_study_tensor_multiplicativity():
+def test_study_tensor_multiplicativity(monkeypatch):
     trig3 = {"kind": "trig", "dimension": 1, "spectrum": [[-1], [0], [1]]}
+    calls = []
+    certify = sampdisc.cli.certify
+    monkeypatch.setattr(sampdisc.cli, "certify", lambda *a, **kw: calls.append(1) or certify(*a, **kw))
     report = run_experiment(ExperimentConfig({
         "kind": "study-tensor", "factors": [trig3, trig3],
         "factor_samples": [{"mode": "iid", "m": 8}, {"mode": "equispaced", "m": 3}],
@@ -143,6 +146,11 @@ def test_study_tensor_multiplicativity():
     assert extraction
     rec = extraction[0]
     assert rec["transferred"]["c1_pow"] == pytest.approx(rec["direct"]["c1_pow"], abs=1e-8)
+    # each factor set is certified once, the tensor set once: its direct
+    # record is the factor's own certificate
+    assert len(calls) == 3
+    factor_certs = [r["certificate"] for r in report.records if "factor" in r and "certificate" in r]
+    assert [r["direct"] for r in extraction] == factor_certs
 
 
 def test_config_echo_round_trips():
@@ -251,6 +259,11 @@ def test_cli_config_error_exit_code(tmp_path):
       "sample": {"mode": "iid", "m": 20}, "p": 2, "seed": 1}, "space.n"),
     ({"kind": "certify", "space": {"kind": "trig", "dimension": 1.7, "spectrum": [[0], [1]]},
       "sample": {"mode": "iid", "m": 20}, "p": 2, "seed": 1}, "space.dimension"),
+    # counts and seeds given as strings, which ran as numbers and exited 0
+    ({"kind": "certify", "space": {"kind": "lacunary", "n": "3", "ratio": 2},
+      "sample": {"mode": "iid", "m": 20}, "p": 2, "seed": 1}, "space.n"),
+    ({"kind": "certify", "space": TRIG3, "sample": {"mode": "iid", "m": "20"}, "p": 2, "seed": 1}, "sample.m"),
+    ({"kind": "certify", "space": TRIG3, "sample": {"mode": "iid", "m": 20}, "p": 2, "seed": "1"}, "seed"),
 ])
 def test_cli_malformed_field_exits_2_without_traceback(tmp_path, config, field):
     cfg = tmp_path / "config.json"

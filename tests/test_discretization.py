@@ -253,15 +253,21 @@ def test_weighted_certificate_uses_weights():
     assert cert.c2_pow == pytest.approx(float(lam[-1]), abs=1e-12)
 
 
-@pytest.mark.parametrize("seed,complex_basis,weighted",
-                         [(31, False, False), (32, True, False), (33, False, True), (34, True, True)])
-def test_discrete_space_p2_certificate_matches_generalized_eigenvalues(seed, complex_basis, weighted):
+@pytest.mark.parametrize("seed,complex_basis,weighted,drawn",
+                         [(31, False, False, False), (32, True, False, False), (33, False, True, False),
+                          (34, True, True, False), (35, True, False, True)],
+                         ids=["31-False-False", "32-True-False", "33-False-True", "34-True-True", "35-drawn"])
+def test_discrete_space_p2_certificate_matches_generalized_eigenvalues(seed, complex_basis, weighted, drawn):
     # independent route: the eigenvalues of B^-1 A, A the sampled and B the
-    # continuous Gram matrix, from a general (nonsymmetric) eigensolver
+    # continuous Gram matrix, from a general (nonsymmetric) eigensolver;
+    # drawn samples are iid domain indices from generate_points, repeats allowed
     rng = np.random.default_rng(seed)
     S, n, m = 15, 4, 9
     vals = rng.standard_normal((S, n)) + (1j * rng.standard_normal((S, n)) if complex_basis else 0)
-    idx = np.sort(rng.choice(S, size=m, replace=False))
+    if drawn:
+        idx = generate_points(DiscreteSpace(vals), "iid", m, seed=seed).points
+    else:
+        idx = np.sort(rng.choice(S, size=m, replace=False))
     w = rng.uniform(0.5, 2.0, m) / m if weighted else np.full(m, 1.0 / m)
     cert = certify(DiscreteSpace(vals), WeightedPointSet(idx, w) if weighted else PointSet(idx), 2)
     A = vals[idx].conj().T @ (w[:, None] * vals[idx])
@@ -397,8 +403,7 @@ def test_lifted_certificate_agrees_with_the_direct_search(n, m, monkeypatch):
     monkeypatch.setattr(_optim, "_sumset_numerator", lambda *a: lifted.append(1) or sumset_numerator(*a))
     cert = certify(sp, pts, 4, budget=16)
     assert lifted and (cert.method, cert.status) == ("optimization-bound", "heuristic-upper-C1")
-    w = np.full(m, 1.0 / m)
-    direct = discretization._heuristic_search(sp, pts, 4, w, False, 16).run()
+    direct = discretization._heuristic_search(sp, pts, 4, 16).run()
     assert cert.c1_pow == pytest.approx(direct.c1_pow, rel=1e-9)
     assert cert.c2_pow == pytest.approx(direct.c2_pow, rel=1e-9)
 
@@ -527,9 +532,12 @@ def test_brute_force_rejects_exponent(p):
         brute_force_certificate(sp, generate_points(sp, "equispaced", 4), p)
 
 
-@pytest.mark.parametrize("p,seed", [(2, 21), (3, 22), (4, 23)])
-def test_certify_agrees_with_oracle(p, seed):
-    sp = make_trig_space(1, [[0], [1], [3]])
+@pytest.mark.parametrize("p,seed,spectrum", [(2, 21, [[0], [1], [3]]), (3, 22, [[0], [1], [3]]),
+                                             (4, 23, [[0], [1], [3]]), (1.5, 24, [[0], [3]])],
+                         ids=["2-21", "3-22", "4-23", "1.5-24"])
+def test_certify_agrees_with_oracle(p, seed, spectrum):
+    # p = 1.5 takes the oracle's non-integer powers, at N = 2 to keep it quick
+    sp = make_trig_space(1, spectrum)
     pts = generate_points(sp, "iid", 9, seed=seed)
     cert = certify(sp, pts, p)
     oracle = brute_force_certificate(sp, pts, p)

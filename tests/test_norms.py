@@ -131,6 +131,9 @@ def test_norm_p_finite_domain_exact():
     sp = DiscreteSpace(np.array([[1.0, 1.0], [1.0, -1.0]]))
     f = CoefficientVector(sp, [1, 1])  # values (2, 0)
     assert norm_p(f, 3) == pytest.approx((0.5 * 8) ** (1 / 3))
+    # the sup norm is the largest modulus over every point of the domain: of 4j, -1.5 + 0.5j and 4.5j
+    g = CoefficientVector(DiscreteSpace(np.array([[1.0, 2j], [0.5, -1.0], [3.0, 1j]])), [1j, 1.5])
+    assert norm_sup(g) == norm_p(g, math.inf) == pytest.approx(4.5, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def sequential_extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, i
 
 
 def _even_p_setup(space, m, p, seed):
-    # the inputs of discretization._heuristic_p_certificate
+    # the inputs of discretization._heuristic_search
     sample = generate_points(space, "iid", m, seed=seed)
     U = space.basis_values(sample.points)
     V, gamma = norms.power_rule(space, p)
@@ -187,7 +187,7 @@ def test_stacked_halving_saves_evaluations_on_lacunary_case():
 
 def _lift_case(name, p, m=40, seed=3):
     # the sample's values U, weights w, the exact rule (V, gamma) and the
-    # sumset hook (B, L) that discretization._heuristic_p_certificate builds
+    # sumset hook (B, L) that discretization._prepare and _heuristic_search build
     if name == "lacunary":
         space = make_lacunary_space(3, 2)
     else:
@@ -383,26 +383,38 @@ def _aliased_inputs(spectrum, m, seed=5):
     return U, y, w / w.sum(), rng.uniform(0.1, 10.0, m)
 
 
-@pytest.mark.parametrize("inputs,alive", [
-    (lambda: _solver_inputs(8, 120), None), (lambda: _solver_inputs(3, 5), None),
-    (lambda: _solver_inputs(8, 120), 16), (lambda: _aliased_inputs([0, 1, 4], 4), None),
-    (lambda: _aliased_inputs([-4, -1, 0, 2, 4, 6], 6), None)],
-    ids=["full-rank", "m<N", "N-1-live", "aliased-3-of-4", "aliased-6-of-6"])
-def test_weighted_solver_matches_svd_lstsq(inputs, alive, monkeypatch):
+@pytest.mark.parametrize("inputs,alive,dead", [
+    (lambda: _solver_inputs(8, 120), None, None), (lambda: _solver_inputs(3, 5), None, None),
+    (lambda: _solver_inputs(8, 120), 16, 1e-300), (lambda: _solver_inputs(3, 40), 0, 0.0),
+    (lambda: _solver_inputs(3, 40), 3, 0.0), (lambda: _aliased_inputs([0, 1, 4], 4), None, None),
+    (lambda: _aliased_inputs([-4, -1, 0, 2, 4, 6], 6), None, None)],
+    ids=["full-rank", "m<N", "N-1-live", "none-live", "3-of-7-live", "aliased-3-of-4", "aliased-6-of-6"])
+def test_weighted_solver_matches_svd_lstsq(inputs, alive, dead, monkeypatch):
     # full rank; m < N (degree 3 has N = 7); only N - 1 = 16 weights above
-    # 1e-300, which leaves the Cholesky test to the fallback; and U of rank
-    # 2 and 4 on aliased equispaced nodes
+    # 1e-300, which leaves the Cholesky test to the fallback; no weight or
+    # only 3 of N = 7 nonzero, where the Cholesky factor itself fails; and U
+    # of rank 2 and 4 on aliased equispaced nodes
     U, y, w, s = inputs()
     if alive is not None:
-        s[alive:] = 1e-300
-    eigh = np.linalg.eigh
-    fallbacks = []
+        s[alive:] = dead
+    eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+    fallbacks, refused = [], []
+
+    def checked_cholesky(G):
+        try:
+            return cholesky(G)
+        except np.linalg.LinAlgError:
+            refused.append(G)
+            raise
+
     monkeypatch.setattr(np.linalg, "eigh", lambda G: fallbacks.append(G) or eigh(G))
+    monkeypatch.setattr(np.linalg, "cholesky", checked_cholesky)
     c, rank = _optim._weighted_solver(U, y, w)(s)
     ref = svd_lstsq(U, y, s * w)
     assert np.linalg.norm(c - ref) <= 1e-10 * np.linalg.norm(ref)
     assert rank == np.linalg.matrix_rank(U)
     assert len(fallbacks) == (alive is not None)
+    assert len(refused) == (dead == 0.0)
 
 
 def two_lstsq_lawson(U, y, w):
