@@ -30,7 +30,8 @@ from .discretization import (
     minimal_m_search,
     two_stage_subsample,
 )
-from .errors import BudgetExhaustedError, ConfigError, SampdiscError, SearchFailedError
+from .errors import (BudgetExhaustedError, ConfigError, InvalidRatioError, InvalidSampleError, SampdiscError,
+                     SearchFailedError)
 from .norms import nikolskii_constant
 from .recovery import verify_recovery
 from .spaces import (
@@ -282,18 +283,34 @@ def _run_recover(report, space, sample, target, p, seed):
     if target.space.domain != space.domain:
         raise ConfigError("target.spectrum", f"frequencies of dimension {target.space.domain.dim} "
                           f"for a space of dimension {space.domain.dim}")
-    # acts at p = inf only, where the sup-norm certificate is always heuristic
-    bound_report = verify_recovery(target, space, _build_sample(space, sample, seed), p,
-                                   allow_heuristic=True)
+    bound_report = verify_recovery(target, space, _build_sample(space, sample, seed), p)
     report.records.append(bound_report.to_dict())
     report.summary = {"lhs": bound_report.lhs, "rhs": bound_report.rhs,
                       "holds": bound_report.holds, "advisory": bound_report.advisory}
 
 
+def _m_max(factor, n, power, log_term):
+    """``ceil(factor * n ** power * log_term)``, the m_max of study size n. A
+    power past every float (p = inf or a huge p at power p/2) is a
+    ConfigError naming ``p``, a product past it one naming ``m_max_factor``."""
+    try:
+        grow = float(n ** power)
+    except OverflowError:
+        grow = math.inf
+    if grow == math.inf:
+        raise ConfigError("p", f"m_max grows as {n} ** {power!r}, past every float")
+    if factor * grow * log_term == math.inf:
+        raise ConfigError("m_max_factor", f"m_max = {factor!r} * {grow!r} * {log_term!r} is past every float")
+    return math.ceil(factor * grow * log_term)
+
+
 def _run_size_study(report, size_label, sizes, spaces, m_maxes, seed, **search):
     m_stars = []
     for s, space, m_max in zip(sizes, spaces, m_maxes):
-        result = minimal_m_search(space, seed=(seed, s), m_max=m_max, **search)
+        try:
+            result = minimal_m_search(space, seed=(seed, s), m_max=m_max, **search)
+        except InvalidSampleError as exc:  # the m_max cap: every other count was read as a field
+            raise ConfigError("m_max_factor", str(exc)) from exc
         m_stars.append(result.m_star)
         logger.info("%s=%d -> m_star=%d", size_label, s, result.m_star)
         for pt in result.curve:
@@ -308,16 +325,18 @@ def _run_size_study(report, size_label, sizes, spaces, m_maxes, seed, **search):
 
 def _run_scaling(report, Ns, m_max_factor, **study):
     spaces = [make_trig_space(1, [[k] for k in range(-(n // 2), n // 2 + 1)]) for n in Ns]
-    m_maxes = [math.ceil(m_max_factor * n * math.log2(2 * n)) for n in Ns]
+    m_maxes = [_m_max(m_max_factor, n, 1, math.log2(2 * n)) for n in Ns]
     m_stars = _run_size_study(report, "N", Ns, spaces, m_maxes, **study)
     report.summary = {"Ns": Ns, "m_stars": m_stars, **_fit_exponents(
         Ns, m_stars, N=Ns, NlogN=[n * math.log2(2 * n) for n in Ns])}
 
 
 def _run_lacunary(report, ns, ratio, m_max_factor, **study):
-    spaces = [make_lacunary_space(n, ratio) for n in ns]
-    m_maxes = [math.ceil(m_max_factor * n ** (study["p"] / 2.0) * max(1.0, math.log2(2 * n)) ** 3)
-               for n in ns]
+    try:
+        spaces = [make_lacunary_space(n, ratio) for n in ns]
+    except InvalidRatioError as exc:
+        raise ConfigError("ratio", str(exc)) from exc
+    m_maxes = [_m_max(m_max_factor, n, study["p"] / 2.0, max(1.0, math.log2(2 * n)) ** 3) for n in ns]
     m_stars = _run_size_study(report, "n", ns, spaces, m_maxes, **study)
     report.summary = {"ns": ns, "m_stars": m_stars, **_fit_exponents(ns, m_stars, n=ns)}
 

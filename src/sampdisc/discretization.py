@@ -75,7 +75,11 @@ __all__ = [
 
 
 class PointSet:
-    """An ordered set of m domain points with a provenance record."""
+    """An ordered set of m domain points with a provenance record and the
+    read-only node ``weights`` of its discrete norms: uniform ``1/m`` with
+    ``weighted`` False, unless it is a :class:`WeightedPointSet`."""
+
+    weighted = False
 
     def __init__(self, points, provenance=None, factors=None):
         pts = np.asarray(points)
@@ -93,6 +97,8 @@ class PointSet:
         self.points.setflags(write=False)
         self.provenance = dict(provenance or {})
         self.factors = tuple(factors) if factors else None
+        self.weights = np.full(self.m, 1.0 / self.m)
+        self.weights.setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -107,6 +113,8 @@ class PointSet:
 
 class WeightedPointSet(PointSet):
     """A point set with strictly positive per-node weights."""
+
+    weighted = True
 
     def __init__(self, points, weights, provenance=None, factors=None):
         super().__init__(points, provenance, factors)
@@ -247,12 +255,6 @@ def _seed_repr(seed):
 # certification
 
 
-def _sample_weights(sample: PointSet) -> tuple[np.ndarray, bool]:
-    if isinstance(sample, WeightedPointSet):
-        return sample.weights, True
-    return np.full(sample.m, 1.0 / sample.m), False
-
-
 def _sumset_space(space: TrigSpace, s: int) -> TrigSpace:
     """Span of the s-fold sumset ``K + ... + K`` of the spectrum K, built by
     doubling: about ``log2 s`` unions."""
@@ -324,7 +326,6 @@ def _heuristic_search(space, sample, p, budget, frame=None, bracket=(None, None)
     :func:`certify` passes it when it pays. Either way the constants are the
     direct discrete ratios at the elements found.
     """
-    weights, weighted = _sample_weights(sample)
     U = space.basis_values(sample.points)
     # adversarial starts: near-null directions of the sampled system
     _, sv, vt = np.linalg.svd(U, full_matrices=False)
@@ -334,15 +335,16 @@ def _heuristic_search(space, sample, p, budget, frame=None, bracket=(None, None)
     sizes = norms._power_sizes(space, p, rows=len(senses) * (budget + len(extras)))
     V, gamma = norms.power_rule(space, p)
     E = np.array(extras)
-    starts = _optim._power_sum(E @ U.T, weights, p) / np.maximum(_optim._power_sum(E @ V.T, gamma, p), 1e-300)
+    starts = (_optim._power_sum(E @ U.T, sample.weights, p)
+              / np.maximum(_optim._power_sum(E @ V.T, gamma, p), 1e-300))
 
     def run():
         hook = None if frame is None else (frame[0].basis_values(space.grid(sizes)), frame[1])
-        ratios, _, _ = _optim.extremize_ratio(U, weights, V, gamma, p, restarts=budget, maximize=senses,
+        ratios, _, _ = _optim.extremize_ratio(U, sample.weights, V, gamma, p, restarts=budget, maximize=senses,
                                               seed=tuple((0xC2 if mx else 0xC1, 0) for mx in senses),
                                               extra_starts=extras, lift=hook)
         return Certificate(float(p), 0.0 if singular else max(ratios[0], 0.0), ratios[-1], "optimization-bound",
-                           "heuristic-upper-C1", tolerance=None, weighted=weighted,
+                           "heuristic-upper-C1", tolerance=None, weighted=sample.weighted,
                            c1_lower=bracket[0], c2_upper=bracket[1])
 
     return _Search(run, *bracket, c1_start=0.0 if singular else float(np.min(starts)),
@@ -415,17 +417,16 @@ def _prepare(space: Subspace, sample: PointSet, p, budget: int) -> _Search:
     its own power rule."""
     norms.checked_exponent(p)
     _check_count(budget, "budget")
-    weights, weighted = _sample_weights(sample)
     if p == math.inf:
         return _Search(lambda: _sup_certificate(space, sample, budget))
     if p == 2:
         U = space.basis_values(sample.points)
         if not isinstance(space, TrigSpace):  # the torus basis is already orthonormal
             U = U @ norms.orthonormal_transform(space)
-        lam = np.linalg.eigvalsh(U.conj().T @ (weights[:, None] * U))
+        lam = np.linalg.eigvalsh(U.conj().T @ (sample.weights[:, None] * U))
         c1, c2 = max(float(lam[0]), 0.0), float(lam[-1])
         return _done(Certificate(2.0, c1, c2, "exact-eigen", "certified", tolerance=1e-12 * max(c2, 1.0),
-                                 weighted=weighted, c1_lower=c1, c2_upper=c2))
+                                 weighted=sample.weighted, c1_lower=c1, c2_upper=c2))
     if not (norms._is_even_integer(p) and isinstance(space, TrigSpace)):
         return _heuristic_search(space, sample, p, budget)
     nodes = math.prod(norms._power_sizes(space, p))  # refuses a rule past _MAX_GRID before anything is built
@@ -435,14 +436,14 @@ def _prepare(space: Subspace, sample: PointSet, p, budget: int) -> _Search:
     if s * (space.dim - 1) >= sample.m:
         return _heuristic_search(space, sample, p, budget, bracket=(0.0, None))
     lift = _sumset_space(space, s)
-    R = np.linalg.qr(np.sqrt(weights)[:, None] * lift.basis_values(sample.points), mode="r")
+    R = np.linalg.qr(np.sqrt(sample.weights)[:, None] * lift.basis_values(sample.points), mode="r")
     lam = np.linalg.svd(R, compute_uv=False) ** 2
     # a frame matrix of rank below lift.dim (R has m < |sK| rows) is never I: c1_lower = 0 fails
     bracket = (float(lam[-1]) if lift.dim <= sample.m else 0.0, float(lam[0]))
     deviation = max(1.0 - bracket[0], bracket[1] - 1.0)
     if deviation <= 1e-12:
         return _done(Certificate(float(p), 1.0, 1.0, "exact-quadrature", "certified",
-                                 tolerance=max(deviation, 1e-15), weighted=weighted,
+                                 tolerance=max(deviation, 1e-15), weighted=sample.weighted,
                                  c1_lower=bracket[0], c2_upper=bracket[1]))
     frame = (lift, R) if sample.m > nodes * lift.dim else None
     return _heuristic_search(space, sample, p, budget, frame, bracket)
@@ -499,14 +500,14 @@ def brute_force_certificate(space: Subspace, sample: PointSet, p,
     n = space.dim
     if n > 3:
         raise OracleTooLargeError("brute-force oracle supports N <= 3 only")
-    w, weighted = _sample_weights(sample)
+    w = sample.weights
     U = space.basis_values(sample.points)
     V, gamma = _oracle_rule(space, p)
     tol = max(1e-6, 1e-3 * (200.0 / resolution) ** 2)
     if n == 1:
         r = float(_oracle_ratios(np.ones((1, 1), dtype=complex), U, w, V, gamma, p)[0])
         return Certificate(float(p), r, r, "brute-force", "certified", tolerance=tol,
-                           weighted=weighted)
+                           weighted=sample.weighted)
 
     rng = np.random.default_rng((0x0AC, n, int(resolution)))
     lo, hi = math.inf, -math.inf
@@ -533,7 +534,7 @@ def brute_force_certificate(space: Subspace, sample: PointSet, p,
         sweep(c_hi, h, 8_192, ("hi",))
         h /= 4.0
     return Certificate(float(p), max(lo, 0.0), hi, "brute-force", "heuristic-upper-C1",
-                       tolerance=tol, weighted=weighted)
+                       tolerance=tol, weighted=sample.weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +651,10 @@ def minimal_m_search(space: Subspace, p, eps: float, trials: int,
     debug log marks a trial ``searched`` only when its optimizer ran.
     Without a bracket (odd or non-integer p, p = inf, a finite domain) every
     trial is searched; at p = 2 none is.
+
+    ``m_max`` (default ``max(2N, ceil(32 N log2(2N)^2))``) is an integer
+    >= 1 whose m_max x N basis matrix holds at most ``norms._MAX_GRID``
+    values, else InvalidSampleError before any point is drawn.
     """
     if not 0 < eps < 1:
         raise InvalidExponentError("eps must lie in (0, 1)")
@@ -657,6 +662,10 @@ def minimal_m_search(space: Subspace, p, eps: float, trials: int,
     n = space.dim
     if m_max is None:
         m_max = max(2 * n, math.ceil(32 * n * max(1.0, math.log2(2 * n)) ** 2))
+    _check_count(m_max, "m_max")
+    if m_max * n > norms._MAX_GRID:
+        raise InvalidSampleError(f"an m_max above {norms._MAX_GRID // n} needs an m_max x {n} basis matrix, "
+                                 f"more than {norms._MAX_GRID} values")
     probed: dict[int, CurvePoint] = {}
 
     def probe(m: int) -> bool:

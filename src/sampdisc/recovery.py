@@ -8,9 +8,11 @@ the result is deterministic; p = inf runs Lawson's minimax fit.
 
 The error bound engine converts a certified discretization certificate
 into the constant ``2 * C1^(-1) * C2^(1/p) + 1`` multiplying the
-sup-distance of the target from the subspace. Heuristic certificates are
-refused: an upper bound on the true lower constant cannot establish the
-discretization assumption the bound rests on.
+sup-distance of the target from the subspace, at the certificate's p and
+the point set's weights. Heuristic certificates are refused at finite p:
+an upper bound on the true lower constant cannot establish the
+discretization assumption the bound rests on. At p = inf, whose
+certificate is always heuristic, the report is marked advisory instead.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import _optim
-from .discretization import Certificate, PointSet, _sample_weights, certify
+from .discretization import Certificate, PointSet, certify
 from .errors import (
     ConfigError,
     HeuristicCertificateError,
-    InvalidExponentError,
     InvalidSampleError,
     InvalidWeightError,
     UnboundedBoundError,
@@ -123,57 +124,53 @@ def lpw_recover(samples: SampleVector, space: Subspace, p, weights) -> RecoveryR
                           degenerate=report["rank"] < space.dim)
 
 
-def recovery_bound(cert: Certificate, weights, p) -> float:
+def _c1_norm(cert: Certificate) -> float:
+    """``c1_pow`` in norm form: itself at p = inf, else its 1/p-th power."""
+    return cert.c1_pow if cert.p == math.inf else cert.c1_pow ** (1.0 / cert.p)
+
+
+def recovery_bound(cert: Certificate, weights) -> float:
     """The constant ``2 C1^(-1) C2^(1/p) + 1`` from a certified certificate.
 
-    The certificate's power-form lower constant converts to norm form by
-    the 1/p-th power; the weight budget C2 is the plain weight sum. The
-    weights must be nonempty, finite and positive. A certificate in uniform
-    form is only accepted together with uniform weights, since its bounds
-    say nothing about other weightings.
+    The exponent p is the certificate's. Its power-form lower constant
+    converts to norm form by the 1/p-th power; the weight budget C2 is the
+    plain weight sum, which drops out at p = inf. The weights must be
+    nonempty, finite and positive. At finite p a uniform-form certificate
+    is only accepted with uniform weights: it says nothing about others.
     """
-    checked_exponent(p)
+    checked_exponent(cert.p)
     if cert.status != "certified":
         raise HeuristicCertificateError(
             "recovery bounds need a certified certificate; a heuristic upper "
             "bound on C1 does not establish the discretization assumption")
-    if p != cert.p:
-        raise InvalidExponentError(f"certificate is for p={cert.p}, not p={p}")
     if cert.c1_pow <= 0:
         raise UnboundedBoundError("lower discretization constant is zero")
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size == 0:
         raise InvalidWeightError("need at least one weight")
     w = checked_weights(w, w.size, "samples")
-    if p == math.inf:
-        return 2.0 / cert.c1_pow + 1.0
-    if not cert.weighted:
-        if not np.allclose(w, 1.0 / w.shape[0], rtol=0, atol=1e-12):
-            raise InvalidWeightError(
-                "certificate is in uniform 1/m form; supply uniform weights")
-    c1_norm = cert.c1_pow ** (1.0 / p)
-    c2 = float(np.sum(w))
-    return 2.0 / c1_norm * c2 ** (1.0 / p) + 1.0
+    if cert.p < math.inf and not cert.weighted and not np.allclose(w, 1.0 / w.size, rtol=0, atol=1e-12):
+        raise InvalidWeightError("certificate is in uniform 1/m form; supply uniform weights")
+    return 2.0 / _c1_norm(cert) * float(np.sum(w)) ** (1.0 / cert.p) + 1.0
 
 
-def verify_recovery(f, space: Subspace, sample: PointSet, p,
-                    allow_heuristic: bool = False) -> RecoveryBoundReport:
+def verify_recovery(f, space: Subspace, sample: PointSet, p) -> RecoveryBoundReport:
     """Recover ``f`` from its samples and check the certified error bound.
 
-    The left side is the L_p error of the recovery by :func:`handle_norm_p`
-    (at p = inf its maximum on the fixed grid ``best_approx(p=inf)`` fits
-    on); the right side is the bound constant times that fit's sup-distance
-    of f from the space, and the comparison carries the ``RECOVERY_SLACK``
-    factor because that distance estimate is one-sided. With
-    ``allow_heuristic`` the p = inf branch accepts a heuristic constant
-    and marks the report advisory.
+    Both use the sample's own weights. The left side is the L_p error of the
+    recovery by :func:`handle_norm_p` (at p = inf its maximum on the fixed
+    grid ``best_approx(p=inf)`` fits on); the right side is the bound
+    constant times that fit's sup-distance of f from the space, and the
+    comparison carries the ``RECOVERY_SLACK`` factor because that distance
+    estimate is one-sided. A heuristic certificate is refused at finite p;
+    the p = inf one, always heuristic, gives a report marked advisory.
     """
     cert = certify(space, sample, p, budget=64)
-    w, _ = _sample_weights(sample)
-    advisory = bool(cert.status != "certified" and allow_heuristic and p == math.inf)
+    w = sample.weights
+    advisory = bool(p == math.inf and cert.status != "certified")
     if advisory:
         cert = replace(cert, status="certified")
-    bound = recovery_bound(cert, w, p)
+    bound = recovery_bound(cert, w)
 
     samples = sample_function(f, sample)
     rec = lpw_recover(samples, space, p, w)
@@ -184,9 +181,8 @@ def verify_recovery(f, space: Subspace, sample: PointSet, p,
 
     lhs = handle_norm_p(residual, space, p)
     _, d_inf = best_approx(f, space, math.inf)
-    c1_norm = cert.c1_pow if p == math.inf else cert.c1_pow ** (1.0 / p)
     rhs = bound * d_inf
-    return RecoveryBoundReport(c1_norm, float(np.sum(w)), bound, lhs, rhs,
+    return RecoveryBoundReport(_c1_norm(cert), float(np.sum(w)), bound, lhs, rhs,
                                RECOVERY_SLACK, d_inf, float(p), rec.optimizer_report,
                                advisory=advisory)
 
@@ -228,9 +224,8 @@ class LpwRegressor:
     def fit(self, X, y, sample_weight=None) -> "LpwRegressor":
         pts, yv = self._check_inputs(X, y)
         pointset = PointSet(pts, {"mode": "user"})
-        if sample_weight is None:
-            sample_weight = np.full(pointset.m, 1.0 / pointset.m)
-        result = lpw_recover(SampleVector(yv, pointset), self.space, self.p, sample_weight)
+        weights = pointset.weights if sample_weight is None else sample_weight
+        result = lpw_recover(SampleVector(yv, pointset), self.space, self.p, weights)
         self.result_ = result
         self.coef_ = result.coefficients.coefficients
         return self

@@ -369,6 +369,7 @@ def make_lacunary_space(n: int, b: float) -> TrigSpace:
 
     Uses the minimal admissible sequence ``k_1 = 1``,
     ``k_{j+1} = ceil(b * k_j)``, which is deterministic and reproducible.
+    A frequency past the int64 range raises InvalidRatioError.
     """
     if not 1 < b < math.inf:
         raise InvalidRatioError("growth ratio must be > 1 and finite")
@@ -376,7 +377,10 @@ def make_lacunary_space(n: int, b: float) -> TrigSpace:
         raise InvalidSpectrumError(f"need an integer number of frequencies >= 1, got {n!r}")
     ks = [1]
     while len(ks) < n:
-        ks.append(math.ceil(b * ks[-1]))
+        k = b * ks[-1]  # a float, inf past the float range
+        if not k < 2.0 ** 63:
+            raise InvalidRatioError(f"frequency {len(ks) + 1} of {n} at ratio {b!r} passes the int64 range")
+        ks.append(math.ceil(k))
     return TrigSpace(Spectrum(ks, lacunary_ratio=b))
 
 

@@ -264,6 +264,17 @@ def test_cli_config_error_exit_code(tmp_path):
       "sample": {"mode": "iid", "m": 20}, "p": 2, "seed": 1}, "space.n"),
     ({"kind": "certify", "space": TRIG3, "sample": {"mode": "iid", "m": "20"}, "p": 2, "seed": 1}, "sample.m"),
     ({"kind": "certify", "space": TRIG3, "sample": {"mode": "iid", "m": 20}, "p": 2, "seed": "1"}, "seed"),
+    # study sizes that ended in an OverflowError or a numpy ValueError
+    ({"kind": "study-lacunary", "ns": [2], "p": "inf", "eps": 0.5, "trials": 2, "success_threshold": 0.5,
+      "seed": 1}, "p"),
+    ({"kind": "study-lacunary", "ns": [2], "p": 1e6, "eps": 0.5, "trials": 2, "success_threshold": 0.5,
+      "seed": 1}, "p"),
+    ({"kind": "study-scaling", "Ns": [3], "p": 2, "eps": 0.5, "trials": 2, "success_threshold": 0.5,
+      "seed": 1, "m_max_factor": 1e308}, "m_max_factor"),
+    ({"kind": "study-scaling", "Ns": [3], "p": 2, "eps": 0.5, "trials": 2, "success_threshold": 0.5,
+      "seed": 1, "m_max_factor": 1e200}, "m_max_factor"),
+    ({"kind": "study-lacunary", "ns": [3], "ratio": 1e308, "p": 4, "eps": 0.5, "trials": 2,
+      "success_threshold": 0.5, "seed": 1}, "ratio"),
 ])
 def test_cli_malformed_field_exits_2_without_traceback(tmp_path, config, field):
     cfg = tmp_path / "config.json"

@@ -96,6 +96,15 @@ def test_generation_rejects_empty():
         generate_points(sp, "iid", 0, seed=1)
 
 
+def test_plain_point_set_weights_are_uniform_and_read_only():
+    pts = PointSet(np.arange(7) * TWO_PI / 7)
+    assert not pts.weighted and generate_points(full_trig_space(1), "leverage", 9, seed=3).weighted
+    assert np.array_equal(pts.weights, np.full(7, 1.0 / 7))
+    with pytest.raises(ValueError):
+        pts.weights[0] = 1.0
+    assert "weights" not in pts.to_dict()
+
+
 def test_complex_points_are_refused():
     # a cast to float would drop the imaginary parts with only a ComplexWarning
     with pytest.raises(InvalidPointError, match="complex"):
@@ -302,8 +311,7 @@ def _moment_box_exact(space, sample, p):
     coordinates up to ``p * degree`` within 1e-12, so it integrates |f|^p."""
     box = [np.arange(-p * deg, p * deg + 1) for deg in space.degrees]
     K = np.stack([g.ravel() for g in np.meshgrid(*box, indexing="ij")], axis=1)
-    w = sample.weights if isinstance(sample, WeightedPointSet) else np.full(sample.m, 1.0 / sample.m)
-    moments = w @ np.exp(1j * (sample.points @ K.T))
+    moments = sample.weights @ np.exp(1j * (sample.points @ K.T))
     return np.max(np.abs(moments - np.all(K == 0, axis=1))) <= 1e-12
 
 
@@ -682,6 +690,17 @@ def test_minimal_m_search_deterministic():
     b = minimal_m_search(sp, 2, 0.5, 10, 0.9, seed=6)
     assert a.m_star == b.m_star
     assert success_curve_csv(a.curve) == success_curve_csv(b.curve)
+
+
+def test_minimal_m_search_refuses_m_max_past_the_cap_before_drawing(monkeypatch):
+    # m_max = 1e200 asked numpy for an m_max x N array and failed inside the draw
+    drawn = []
+    monkeypatch.setattr(discretization, "generate_points", lambda *a, **k: drawn.append(a))
+    sp = full_trig_space(2)
+    for m_max in (norms._MAX_GRID // sp.dim + 1, 10 ** 200):
+        with pytest.raises(InvalidSampleError, match="basis matrix"):
+            minimal_m_search(sp, 2, 0.5, 5, 0.9, seed=1, m_max=m_max)
+    assert drawn == []
 
 
 def test_minimal_m_search_failure_carries_curve():

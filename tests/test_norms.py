@@ -112,8 +112,7 @@ def _exponent_entry_points():
         "lpw_recover": lambda p: lpw_recover(sample_function(np.cos, pts), sp, p, w),
         "brute_force_certificate": lambda p: brute_force_certificate(sp, pts, p),
         "nikolskii_constant": lambda p: nikolskii_constant(sp, p),
-        "recovery_bound": lambda p: recovery_bound(
-            Certificate(p, 1.0, 1.0, "exact-eigen", "certified"), w, p),
+        "recovery_bound": lambda p: recovery_bound(Certificate(p, 1.0, 1.0, "exact-eigen", "certified"), w),
     }
 
 

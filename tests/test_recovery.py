@@ -248,37 +248,37 @@ def test_p4_deterministic():
 
 def test_bound_for_perfect_certificate():
     cert = Certificate(2.0, 1.0, 1.0, "exact-eigen", "certified")
-    assert recovery_bound(cert, uniform(9), 2) == pytest.approx(3.0)
+    assert recovery_bound(cert, uniform(9)) == pytest.approx(3.0)
 
 
 def test_bound_for_half_certificate():
     cert = Certificate(2.0, 0.5, 1.2, "exact-eigen", "certified")
-    assert recovery_bound(cert, uniform(9), 2) == pytest.approx(2 * math.sqrt(2) + 1)
+    assert recovery_bound(cert, uniform(9)) == pytest.approx(2 * math.sqrt(2) + 1)
 
 
 def test_bound_refuses_heuristic():
     cert = Certificate(3.0, 0.9, 1.1, "optimization-bound", "heuristic-upper-C1")
     with pytest.raises(HeuristicCertificateError):
-        recovery_bound(cert, uniform(5), 3)
+        recovery_bound(cert, uniform(5))
 
 
 def test_bound_rejects_zero_lower_constant():
     cert = Certificate(2.0, 0.0, 1.0, "exact-eigen", "certified")
     with pytest.raises(UnboundedBoundError):
-        recovery_bound(cert, uniform(5), 2)
+        recovery_bound(cert, uniform(5))
 
 
 def test_uniform_certificate_rejects_other_weights():
     cert = Certificate(2.0, 1.0, 1.0, "exact-eigen", "certified", weighted=False)
     with pytest.raises(InvalidWeightError):
-        recovery_bound(cert, np.array([0.9, 0.1]), 2)
+        recovery_bound(cert, np.array([0.9, 0.1]))
 
 
 @pytest.mark.parametrize("weights", [[math.nan, 0.5, 0.5], [-1.0, 0.5, 0.5], []])
 def test_bound_rejects_bad_weights(weights):
     cert = Certificate(2.0, 0.5, 1.0, "exact-eigen", "certified", weighted=True)
     with pytest.raises(InvalidWeightError):
-        recovery_bound(cert, weights, 2)
+        recovery_bound(cert, weights)
 
 
 def test_verify_recovery_member_trivial():
@@ -361,10 +361,7 @@ def test_regressor_validates_shapes():
 def test_verify_recovery_p_inf_advisory_flag():
     sp = full_trig_space(1)
     pts = generate_points(sp, "equispaced", 12)
-    with pytest.raises(HeuristicCertificateError):
-        verify_recovery(lambda x: np.cos(2 * x), sp, pts, math.inf)
-    report = verify_recovery(lambda x: np.cos(2 * x), sp, pts, math.inf,
-                             allow_heuristic=True)
+    report = verify_recovery(lambda x: np.cos(2 * x), sp, pts, math.inf)
     assert report.advisory
     assert report.holds
 
@@ -382,7 +379,7 @@ def test_verify_recovery_keeps_the_solver_report(p, keys, monkeypatch):
         return fits[-1]
 
     monkeypatch.setattr(recovery, "lpw_recover", recording)
-    report = verify_recovery(lambda x: np.abs(np.sin(x)) ** 3, sp, pts, p, allow_heuristic=True)
+    report = verify_recovery(lambda x: np.abs(np.sin(x)) ** 3, sp, pts, p)
     (fit,) = fits
     assert report.optimizer_report == fit.optimizer_report
     assert set(report.optimizer_report) == keys

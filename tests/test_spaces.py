@@ -70,8 +70,9 @@ def test_lacunary_single_frequency():
 def test_lacunary_bad_ratio():
     with pytest.raises(InvalidRatioError):
         make_lacunary_space(2, 1)
-    # nan and inf reached math.ceil (ValueError, OverflowError), and a nan ratio was kept
-    for ratio in (math.nan, math.inf):
+    # nan and inf reached math.ceil (ValueError, OverflowError), and a nan ratio was kept;
+    # at 1e308 the third frequency, ceil(1e308 * 1e308), raised a raw OverflowError
+    for ratio in (math.nan, math.inf, 1e308):
         with pytest.raises(InvalidRatioError):
             make_lacunary_space(3, ratio)
     with pytest.raises(InvalidRatioError):
