@@ -41,7 +41,6 @@ from .discretization import (  # noqa: F401
     MinimalMResult,
     PointSet,
     TwoStageBudget,
-    WeightedPointSet,
     brute_force_certificate,
     certify,
     extract_factor,

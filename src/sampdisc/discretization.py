@@ -59,7 +59,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "PointSet",
-    "WeightedPointSet",
     "Certificate",
     "TwoStageBudget",
     "CurvePoint",
@@ -76,12 +75,11 @@ __all__ = [
 
 class PointSet:
     """An ordered set of m domain points with a provenance record and the
-    read-only node ``weights`` of its discrete norms: uniform ``1/m`` with
-    ``weighted`` False, unless it is a :class:`WeightedPointSet`."""
+    read-only node ``weights`` of its discrete norms: a copy of the given
+    ``weights`` (finite and positive, InvalidWeightError) with ``weighted``
+    True, else uniform ``1/m`` with ``weighted`` False."""
 
-    weighted = False
-
-    def __init__(self, points, provenance=None, factors=None):
+    def __init__(self, points, provenance=None, factors=None, *, weights=None):
         pts = np.asarray(points)
         if pts.size == 0:
             raise InvalidSampleError("point set must be nonempty")
@@ -97,7 +95,9 @@ class PointSet:
         self.points.setflags(write=False)
         self.provenance = dict(provenance or {})
         self.factors = tuple(factors) if factors else None
-        self.weights = np.full(self.m, 1.0 / self.m)
+        self.weighted = weights is not None
+        self.weights = (norms.checked_weights(weights, self.m, "points") if self.weighted
+                        else np.full(self.m, 1.0 / self.m))
         self.weights.setflags(write=False)
 
     @property
@@ -105,28 +105,13 @@ class PointSet:
         return self.points.shape[0]
 
     def to_dict(self) -> dict:
-        return {"points": self.points.tolist(), "provenance": self.provenance}
+        out = {"points": self.points.tolist(), "provenance": self.provenance}
+        if self.weighted:
+            out.update(weights=self.weights.tolist(), weight_sum=float(np.sum(self.weights)))
+        return out
 
     def __repr__(self):
         return f"{type(self).__name__}(m={self.m})"
-
-
-class WeightedPointSet(PointSet):
-    """A point set with strictly positive per-node weights."""
-
-    weighted = True
-
-    def __init__(self, points, weights, provenance=None, factors=None):
-        super().__init__(points, provenance, factors)
-        self.weights = norms.checked_weights(weights, self.m, "points")
-        self.weights.setflags(write=False)
-        self.weight_sum = float(np.sum(self.weights))
-
-    def to_dict(self) -> dict:
-        out = super().to_dict()
-        out["weights"] = self.weights.tolist()
-        out["weight_sum"] = self.weight_sum
-        return out
 
 
 @dataclass
@@ -174,7 +159,8 @@ def generate_points(space: Subspace, mode: str, m: int | None = None, *,
     builds the uniform grid (per-dimension sizes for product domains);
     ``tensor`` takes the cartesian product of factor point sets;
     ``leverage`` draws from the normalized Christoffel density by
-    rejection sampling and attaches the matching reciprocal weights.
+    rejection sampling and returns a weighted :class:`PointSet` whose
+    weights are the matching reciprocals ``N / (m k(x_j))``.
     """
     if mode in ("iid", "leverage"):
         if seed is None:
@@ -236,7 +222,7 @@ def generate_points(space: Subspace, mode: str, m: int | None = None, *,
         weights = n / (m * k)
         prov = {"mode": "leverage", "seed": _seed_repr(seed), "m": int(m),
                 "acceptance_rate": m / proposals if proposals else 1.0}
-        return WeightedPointSet(pts, weights, prov)
+        return PointSet(pts, prov, weights=weights)
 
     raise InvalidSampleError(f"unknown generation mode {mode!r}")
 
@@ -255,20 +241,21 @@ def _seed_repr(seed):
 # certification
 
 
-def _sumset_space(space: TrigSpace, s: int) -> TrigSpace:
+def _sumset_space(space: TrigSpace, s: int, rows: int = 1) -> TrigSpace:
     """Span of the s-fold sumset ``K + ... + K`` of the spectrum K, built by
-    doubling: about ``log2 s`` unions."""
-    def plus(A, B):
-        return np.unique((A[:, None, :] + B[None, :, :]).reshape(-1, A.shape[1]), axis=0)
-
-    S, P = None, space.spectrum.frequencies
-    while True:
-        if s & 1:
-            S = P if S is None else plus(S, P)
-        s >>= 1
-        if not s:
-            return TrigSpace(Spectrum(S))
-        P = plus(P, P)
+    s - 1 additions of K; refused (InvalidExponentError) as soon as ``rows``
+    times a partial sumset, which sK contains a translate of, passes
+    ``norms._MAX_GRID`` values. One frequency k gives the one frequency sk,
+    with no additions (the sumset would not grow to meet the cap)."""
+    K = S = space.spectrum.frequencies
+    if len(K) == 1:
+        return TrigSpace(Spectrum(s * K))
+    for _ in range(s - 1):
+        S = np.unique((S[:, None, :] + K[None, :, :]).reshape(-1, K.shape[1]), axis=0)
+        if rows * S.shape[0] > norms._MAX_GRID:
+            raise InvalidExponentError(f"the sumset frame of exponent {2 * s} would hold {rows} x "
+                                       f"{S.shape[0]} or more values, more than {norms._MAX_GRID}")
+    return TrigSpace(Spectrum(S))
 
 
 @dataclass
@@ -399,10 +386,12 @@ def certify(space: Subspace, sample: PointSet, p, budget: int = 64) -> Certifica
     InvalidExponentError, and p = inf UnsupportedNormError, when the
     quadrature or sup grid passes ``norms._MAX_GRID`` nodes or the heuristic
     search would hold more than ``_MAX_GRID`` values (its rows times those
-    nodes). A finite domain's grid is all its points: at the default budget a
-    full-rank sample is refused above 31,300 of them at finite p != 2, and
-    above 63,550 at p = inf. ``budget``, the restarts of each heuristic
-    search, is an integer >= 1 (InvalidSampleError).
+    nodes); at p = 2s on the torus also when the sumset frame would (m times
+    |sK|, refused while sK is built). A finite domain's grid is all its
+    points: at the default budget a full-rank sample is refused above 31,300
+    of them at finite p != 2, and above 63,550 at p = inf. ``budget``, the
+    restarts of each heuristic search, is an integer >= 1
+    (InvalidSampleError).
 
     The work runs in two steps, which :func:`minimal_m_search` calls apart:
     ``_prepare`` gives the search with its bracket, and its ``run()`` makes
@@ -435,7 +424,7 @@ def _prepare(space: Subspace, sample: PointSet, p, budget: int) -> _Search:
     # test and the lifted search are both out of reach, so sK is not built
     if s * (space.dim - 1) >= sample.m:
         return _heuristic_search(space, sample, p, budget, bracket=(0.0, None))
-    lift = _sumset_space(space, s)
+    lift = _sumset_space(space, s, rows=sample.m)
     R = np.linalg.qr(np.sqrt(sample.weights)[:, None] * lift.basis_values(sample.points), mode="r")
     lam = np.linalg.svd(R, compute_uv=False) ** 2
     # a frame matrix of rank below lift.dim (R has m < |sK| rows) is never I: c1_lower = 0 fails
@@ -655,9 +644,13 @@ def minimal_m_search(space: Subspace, p, eps: float, trials: int,
     ``m_max`` (default ``max(2N, ceil(32 N log2(2N)^2))``) is an integer
     >= 1 whose m_max x N basis matrix holds at most ``norms._MAX_GRID``
     values, else InvalidSampleError before any point is drawn.
+    ``success_threshold``, the least success rate, lies in [0, 1] and ``eps``
+    in (0, 1), else InvalidExponentError, also before any draw.
     """
     if not 0 < eps < 1:
         raise InvalidExponentError("eps must lie in (0, 1)")
+    if not 0 <= success_threshold <= 1:
+        raise InvalidExponentError(f"success_threshold must lie in [0, 1], got {success_threshold!r}")
     _check_count(trials, "number of trials")
     n = space.dim
     if m_max is None:

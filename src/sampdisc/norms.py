@@ -277,8 +277,9 @@ def norm_sup(f: CoefficientVector) -> float:
 
 
 def checked_weights(weights, count: int, of: str) -> np.ndarray:
-    """``weights`` as a float vector of ``count`` finite positive entries."""
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    """``weights`` as a new float vector of ``count`` finite positive entries,
+    so that a later edit of the caller's array does not reach it."""
+    w = np.array(weights, dtype=float).reshape(-1)
     if w.shape[0] != count:
         raise InvalidWeightError(f"got {w.shape[0]} weights for {count} {of}")
     if not np.all(np.isfinite(w)):

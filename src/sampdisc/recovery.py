@@ -223,9 +223,8 @@ class LpwRegressor:
 
     def fit(self, X, y, sample_weight=None) -> "LpwRegressor":
         pts, yv = self._check_inputs(X, y)
-        pointset = PointSet(pts, {"mode": "user"})
-        weights = pointset.weights if sample_weight is None else sample_weight
-        result = lpw_recover(SampleVector(yv, pointset), self.space, self.p, weights)
+        pointset = PointSet(pts, {"mode": "user"}, weights=sample_weight)
+        result = lpw_recover(SampleVector(yv, pointset), self.space, self.p, pointset.weights)
         self.result_ = result
         self.coef_ = result.coefficients.coefficients
         return self

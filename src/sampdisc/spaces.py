@@ -72,8 +72,9 @@ class FiniteDomain:
 
 
 def is_count(value, least=1) -> bool:
-    """True for an integer (numpy's too) of at least ``least``."""
-    return isinstance(value, numbers.Integral) and value >= least
+    """True for an integer (numpy's too) of at least ``least``; a bool is
+    not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 class Spectrum:

@@ -1,5 +1,6 @@
 """Tests for point generation, certification, subsampling, and m-search."""
 
+import itertools
 import logging
 import math
 import re
@@ -12,8 +13,8 @@ from sampdisc import (
     DiscreteSpace,
     FiniteDomain,
     TorusDomain,
+    TrigSpace,
     TwoStageBudget,
-    WeightedPointSet,
     brute_force_certificate,
     certify,
     extract_factor,
@@ -36,6 +37,7 @@ from sampdisc.errors import (
     InvalidPointError,
     InvalidSampleError,
     InvalidSpectrumError,
+    InvalidWeightError,
     FactorExtractionError,
     InvalidExponentError,
     MissingSeedError,
@@ -77,9 +79,9 @@ def test_tensor_point_set_is_lexicographic():
 def test_leverage_on_flat_space_is_uniform():
     sp = full_trig_space(2)
     lev = generate_points(sp, "leverage", 30, seed=11)
-    assert isinstance(lev, WeightedPointSet)
+    assert lev.weighted
     assert np.allclose(lev.weights, 1 / 30, atol=1e-12)
-    assert lev.weight_sum == pytest.approx(1.0, abs=1e-12)
+    assert float(np.sum(lev.weights)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_modes_require_seed():
@@ -102,7 +104,16 @@ def test_plain_point_set_weights_are_uniform_and_read_only():
     assert np.array_equal(pts.weights, np.full(7, 1.0 / 7))
     with pytest.raises(ValueError):
         pts.weights[0] = 1.0
-    assert "weights" not in pts.to_dict()
+    assert not {"weights", "weight_sum"} & set(pts.to_dict())
+    # a weighted set keeps a read-only copy: the caller's later edit does not reach it
+    w = np.array([0.2, 0.3, 0.5])
+    weighted = PointSet(np.arange(3) * TWO_PI / 3, weights=w)
+    w[0] = 5.0
+    assert weighted.weighted and np.array_equal(weighted.weights, [0.2, 0.3, 0.5])
+    with pytest.raises(ValueError):
+        weighted.weights[0] = 1.0
+    record = weighted.to_dict()
+    assert record["weights"] == [0.2, 0.3, 0.5] and record["weight_sum"] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_complex_points_are_refused():
@@ -131,9 +142,15 @@ _SP = full_trig_space(2)
     (lambda: brute_force_certificate(_SP, generate_points(_SP, "iid", 8, seed=1), 4, resolution=2.5),
      InvalidSampleError),
     (lambda: LpwRegressor(_SP).set_params(foo=1), ConfigError),
+    (lambda: generate_points(_SP, "iid", True, seed=1), InvalidSampleError),
+    (lambda: minimal_m_search(_SP, 2, 0.5, True, 0.9, seed=1), InvalidSampleError),
+    (lambda: minimal_m_search(_SP, 2, 0.5, 2, 1.5, seed=1), InvalidExponentError),
+    (lambda: minimal_m_search(_SP, 2, 0.5, 2, -0.5, seed=1), InvalidExponentError),
+    (lambda: minimal_m_search(_SP, 2, 0.5, 2, math.nan, seed=1), InvalidExponentError),
 ], ids=["seed-negative", "seed-float", "m-float", "equispaced-m-float", "two-stage-seed-negative",
         "two-stage-stage1-float", "two-stage-stage2-float", "m-max-float", "trials-float",
-        "resolution-0", "resolution-negative", "resolution-float", "set-params-unknown"])
+        "resolution-0", "resolution-negative", "resolution-float", "set-params-unknown", "m-bool",
+        "trials-bool", "threshold-above-1", "threshold-negative", "threshold-nan"])
 def test_bad_counts_and_seeds_raise_typed_errors(call, error):
     # a typed SampdiscError, not numpy's or Python's raw ValueError, TypeError or ZeroDivisionError
     with pytest.raises(error):
@@ -150,8 +167,13 @@ def test_bad_counts_and_seeds_raise_typed_errors(call, error):
     (lambda: make_lacunary_space(2.5, 2), InvalidSpectrumError),
     (lambda: TorusDomain(2.5), UnsupportedDomainError),
     (lambda: FiniteDomain(2.5), UnsupportedDomainError),
+    (lambda: certify(_SP, generate_points(_SP, "iid", 8, seed=1), 3, budget=True), InvalidSampleError),
+    (lambda: generate_points(_SP, "equispaced", sizes=[True]), InvalidSampleError),
+    (lambda: make_lacunary_space(True, 2), InvalidSpectrumError),
+    (lambda: TorusDomain(True), UnsupportedDomainError),
 ], ids=["budget-float", "budget-negative", "budget-0", "retries-float", "retries-negative",
-        "equispaced-sizes-float", "lacunary-n-float", "torus-dim-float", "finite-size-float"])
+        "equispaced-sizes-float", "lacunary-n-float", "torus-dim-float", "finite-size-float", "budget-bool",
+        "equispaced-sizes-bool", "lacunary-n-bool", "torus-dim-bool"])
 def test_counts_are_integers_in_range_or_a_typed_error(call, error):
     # each ran silently as a truncated or clamped count, or ended in a raw TypeError
     with pytest.raises(error):
@@ -159,8 +181,8 @@ def test_counts_are_integers_in_range_or_a_typed_error(call, error):
 
 
 def test_weighted_point_set_validates():
-    with pytest.raises(Exception):
-        WeightedPointSet(np.zeros((3, 1)), [1.0, -1.0, 1.0])
+    with pytest.raises(InvalidWeightError):
+        PointSet(np.zeros((3, 1)), weights=[1.0, -1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +300,7 @@ def test_discrete_space_p2_certificate_matches_generalized_eigenvalues(seed, com
     else:
         idx = np.sort(rng.choice(S, size=m, replace=False))
     w = rng.uniform(0.5, 2.0, m) / m if weighted else np.full(m, 1.0 / m)
-    cert = certify(DiscreteSpace(vals), WeightedPointSet(idx, w) if weighted else PointSet(idx), 2)
+    cert = certify(DiscreteSpace(vals), PointSet(idx, weights=w) if weighted else PointSet(idx), 2)
     A = vals[idx].conj().T @ (w[:, None] * vals[idx])
     B = vals.conj().T @ vals / S
     lam = np.sort(np.linalg.eigvals(np.linalg.solve(B, A)).real)
@@ -323,8 +345,8 @@ def _even_p_battery():
                 pts = generate_points(sp, "equispaced", m)
                 yield sp, pts, p
                 w = 1.0 + 0.5 * np.cos(np.arange(m))
-                yield sp, WeightedPointSet(pts.points, np.full(m, 1.0 / m)), p
-                yield sp, WeightedPointSet(pts.points, w / w.sum()), p
+                yield sp, PointSet(pts.points, weights=np.full(m, 1.0 / m)), p
+                yield sp, PointSet(pts.points, weights=w / w.sum()), p
         for spec in ([[0], [1]], [[-1], [0], [1]]):
             f = make_trig_space(1, spec)
             for a, b in ((3, 3), (4, 5), (5, 5), (7, 7), (9, 9)):
@@ -366,10 +388,9 @@ def test_even_p_exact_on_tensor_beyond_the_moment_box():
 @pytest.mark.parametrize("spectrum,s", [([[1], [2], [4]], 1), ([[1], [2], [4]], 5), ([[-1], [0], [1]], 6),
                                          ([[0, 0], [1, 0], [0, 3], [2, 1]], 7), ([[3]], 4)])
 def test_sumset_by_doubling_matches_repeated_sums(spectrum, s):
+    # the reference sums every s-tuple of K, whatever order _sumset_space adds in
     K = np.array(spectrum)
-    S = K
-    for _ in range(s - 1):
-        S = np.unique((S[:, None, :] + K[None, :, :]).reshape(-1, K.shape[1]), axis=0)
+    S = np.unique([np.sum(t, axis=0) for t in itertools.product(K, repeat=s)], axis=0)
     lift = _sumset_space(make_trig_space(K.shape[1], spectrum), s)
     assert np.array_equal(lift.spectrum.frequencies, S)
 
@@ -431,8 +452,8 @@ def test_certify_evaluates_the_sumset_basis_at_the_sample_once(m, monkeypatch):
     at_sample = []
     sumset_space = discretization._sumset_space
 
-    def counted(space, s):
-        lift = sumset_space(space, s)
+    def counted(space, s, **kw):
+        lift = sumset_space(space, s, **kw)
         values = lift.basis_values
 
         def basis_values(points):
@@ -445,6 +466,23 @@ def test_certify_evaluates_the_sumset_basis_at_the_sample_once(m, monkeypatch):
     monkeypatch.setattr(discretization, "_sumset_space", counted)
     assert certify(sp, pts, 4, budget=4).method == "optimization-bound"
     assert at_sample.count(True) == 1
+
+
+def test_sumset_frame_past_the_cap_is_refused_before_it_is_built(monkeypatch):
+    # N = 33 at p = 100 on 100,000 points passes the rule's cap (1,601 nodes)
+    # and the sampled basis's (m N = 3.3 M), but its frame would be m x |50K| = 100,000 x 1,601
+    sp = full_trig_space(16)
+    pts = generate_points(sp, "iid", 100_000, seed=1)
+    basis_values = TrigSpace.basis_values
+
+    def guarded(self, points):
+        if len(points) * self.dim > norms._MAX_GRID:
+            pytest.fail(f"asked for a {len(points)} x {self.dim} basis matrix")
+        return basis_values(self, points)
+
+    monkeypatch.setattr(TrigSpace, "basis_values", guarded)
+    with pytest.raises(InvalidExponentError, match="sumset frame"):
+        certify(sp, pts, 100)
 
 
 def _gram_deviation(space, sample, p):
@@ -481,6 +519,24 @@ def test_huge_even_exponent_is_refused_before_any_grid_is_built(monkeypatch):
             certify(sp, pts, p)
     with pytest.raises(InvalidExponentError):
         norms.power_rule(sp, 1e12)
+
+
+@pytest.mark.parametrize("spectrum,p", [([[0]], 1e12), ([[1]], 4_194_302)])
+def test_one_frequency_at_a_huge_even_exponent_is_exact_at_once(monkeypatch, spectrum, p):
+    # sK is the one frequency sk, whatever p is: the 5 x 1 frame is exact, and
+    # no sumset is built by additions (one per unit of s would never end)
+    unique = np.unique
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 100:
+            pytest.fail("np.unique called more than 100 times")
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    cert = certify(make_trig_space(1, spectrum), PointSet(np.linspace(0, TWO_PI, 5, endpoint=False)), p)
+    assert (cert.method, cert.status, cert.c1_pow, cert.c2_pow) == ("exact-quadrature", "certified", 1.0, 1.0)
 
 
 @pytest.mark.parametrize("n,m,p", [(2, 5, 4), (2, 5, 6), (3, 9, 4)])
@@ -521,7 +577,7 @@ def test_brute_force_single_exponential():
 def test_brute_force_labels_weighted_sample():
     sp = make_trig_space(1, [[0], [2]])
     lev = generate_points(sp, "leverage", 6, seed=17)
-    assert isinstance(lev, WeightedPointSet)
+    assert lev.weighted
     oracle = brute_force_certificate(sp, lev, 2)
     assert oracle.weighted and certify(sp, lev, 2).weighted
     assert not brute_force_certificate(sp, PointSet(lev.points), 2).weighted
@@ -628,7 +684,7 @@ def test_exact_factors_transfer_exactly():
 
 def test_leverage_weight_sum_concentrates():
     sp = full_trig_space(2)
-    sums = [generate_points(sp, "leverage", 15, seed=s).weight_sum for s in range(100)]
+    sums = [float(np.sum(generate_points(sp, "leverage", 15, seed=s).weights)) for s in range(100)]
     assert np.mean([s <= 2.0 for s in sums]) >= 0.95
     assert np.allclose(sums, 1.0, atol=1e-9)  # exactly 1 for flat systems
 

@@ -34,7 +34,7 @@ from sampdisc.errors import (
     OracleTooLargeError,
     UnsupportedNormError,
 )
-from sampdisc.discretization import PointSet, WeightedPointSet
+from sampdisc.discretization import PointSet
 from sampdisc.norms import SampleVector, handle_norm_p, torus_grid
 from sampdisc.recovery import lpw_recover
 
@@ -233,14 +233,14 @@ def test_discrete_norm_rejects_empty_vector(p):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("entry", ["WeightedPointSet", "discrete_norm", "lpw_recover"])
+@pytest.mark.parametrize("entry", ["PointSet", "discrete_norm", "lpw_recover"])
 def test_non_finite_weights_rejected(entry, bad):
     # nan <= 0 is False, so a positivity test alone lets NaN through
     weights = [bad, 1.0, 1.0]
     pts = np.array([[0.0], [2.0], [4.0]])
     with pytest.raises(InvalidWeightError):
-        if entry == "WeightedPointSet":
-            WeightedPointSet(pts, weights)
+        if entry == "PointSet":
+            PointSet(pts, weights=weights)
         elif entry == "discrete_norm":
             discrete_norm([1.0, 2.0, 3.0], 2, weights=weights)
         else:

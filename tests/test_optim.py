@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sampdisc import _optim, certify, generate_points, make_lacunary_space, make_trig_space, norms, tensor_product
-from sampdisc.discretization import WeightedPointSet, _sumset_space
+from sampdisc.discretization import PointSet, _sumset_space
 
 
 def sequential_extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, iters=150,
@@ -221,7 +221,7 @@ def test_certify_steers_on_the_factor_that_lift_case_builds(monkeypatch):
 
     monkeypatch.setattr(_optim, "extremize_ratio", capture)
     with pytest.raises(Stop):
-        certify(space, WeightedPointSet(sample.points, w), 4)
+        certify(space, PointSet(sample.points, weights=w), 4)
     (hook,) = hooks
     assert np.array_equal(hook[0], B) and np.array_equal(hook[1], L)
 

@@ -131,6 +131,9 @@ def test_member_recovery_weight_invariant():
     for w in (uniform(7), np.linspace(0.1, 2.0, 7)):
         res = lpw_recover(samples, sp, 4, w)
         assert np.max(np.abs(res.coefficients.coefficients - f.coefficients)) <= 1e-8
+        kept = w.copy()
+        w[0] = 5.0  # the result holds its own copy of the weights
+        assert np.array_equal(res.weights_used, kept)
 
 
 def test_rank_deficient_system_flagged():
