@@ -20,7 +20,6 @@ from .spaces import (  # noqa: F401
     make_lacunary_space,
     make_trig_space,
     restrict,
-    space_from_dict,
     space_to_dict,
     tensor_product,
 )

@@ -36,9 +36,9 @@ from .norms import nikolskii_constant
 from .recovery import verify_recovery
 from .spaces import (
     CoefficientVector,
+    Spectrum,
     make_lacunary_space,
     make_trig_space,
-    space_from_dict,
     space_to_dict,
     tensor_product,
 )
@@ -94,7 +94,12 @@ def _struct(*fields):
     return lambda value, path: _fields(OBJECT(value, path), fields, f"{path}.")
 
 
-MODES = ("iid", "leverage", "equispaced", "tensor")
+def _tagged(node, tag, tables, at="", allowed=()):
+    """``(name, _fields(...))`` of an object whose field ``tag`` names its table of ``tables``."""
+    name = _read(node, tag, _check(lambda v: v in tuple(tables), f"expected one of {tuple(tables)}"), at=at)
+    return name, _fields(node, tables[name], at, allowed=(tag, *allowed))
+
+
 REAL = _check(lambda x: True, "must be a number", float)
 RATIO = _check(lambda x: 1 < x < math.inf, "must be > 1 and finite", float)
 POSITIVE = _check(lambda x: 0 < x < math.inf, "must be positive and finite", float)
@@ -119,50 +124,62 @@ COEFFICIENT = _check(lambda z: True, "must be a number or an [re, im] pair",
                      lambda v: complex(*v) if isinstance(v, list) else complex(v))
 TEXT = _check(lambda v: isinstance(v, str), "must be a string")
 OBJECT = _check(lambda v: isinstance(v, dict), "must be an object")
-SAMPLE = _struct(("mode", _check(lambda v: v in MODES, f"expected one of {MODES}"), REQUIRED),
-                 ("m", COUNT, None), ("sizes", _list_of(COUNT), None), ("seed", NATURAL, None),
-                 ("factor_samples", _list_of(lambda v, path: SAMPLE(v, path)), None))
+FREQUENCIES = _list_of(lambda v, _: v)
 
 
 def _build_space(desc, path):
-    factors = None
-    if OBJECT(desc, path).get("kind") == "tensor":
-        factors = _read(desc, "factors", _list_of(_build_space), at=f"{path}.")
-    # the counts of a space, read as every other count is
-    desc = {**desc, **{key: COUNT(desc[key], f"{path}.{key}") for key in ("n", "dimension") if key in desc}}
+    kind, f = _tagged(OBJECT(desc, path), "kind", SPACE_FIELDS, f"{path}.")
     try:
-        return space_from_dict(desc) if factors is None else tensor_product(factors)
-    except KeyError as exc:
-        raise ConfigError(f"{path}.{exc.args[0]}", "missing required field") from exc
+        if kind == "trig":
+            return make_trig_space(f["dimension"], Spectrum(f["spectrum"], f["lacunary_ratio"]))
+        if kind == "lacunary":
+            return make_lacunary_space(f["n"], f["ratio"])
+        return tensor_product(f["factors"])
     except (SampdiscError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _build_sample(space, spec, seed, at="sample."):
-    """Draw the points of a SAMPLE spec read at ``at``; its seed overrides ``seed``."""
-    if spec["mode"] == "tensor":
+def _read_sample(spec, path):
+    return _tagged(OBJECT(spec, path), "mode", SAMPLE_FIELDS, f"{path}.")
+
+
+# The fields of each space kind and sample mode, read as those of each experiment kind
+SPACE_FIELDS = {"trig": (("dimension", COUNT, REQUIRED), ("spectrum", FREQUENCIES, REQUIRED),
+                         ("lacunary_ratio", RATIO, None)),
+                "lacunary": (("n", COUNT, REQUIRED), ("ratio", RATIO, REQUIRED)),
+                "tensor": (("factors", _list_of(_build_space), REQUIRED),)}
+RANDOM = (("m", COUNT, REQUIRED), ("seed", NATURAL, None))
+SAMPLE_FIELDS = {"iid": RANDOM, "leverage": RANDOM,
+                 "equispaced": (("m", COUNT, None), ("sizes", _list_of(COUNT), None)),
+                 "tensor": (("factor_samples", _list_of(_read_sample), REQUIRED),)}
+
+
+def _build_sample(space, sample, seed, at="sample."):
+    """Draw the points of a ``(mode, spec)`` sample read at ``at``; its seed overrides ``seed``."""
+    mode, spec = sample
+    if mode == "tensor":
         if space.factors is None:
             raise ConfigError(f"{at}mode", "tensor sampling needs a tensor-product space")
         subs = spec["factor_samples"]
-        if subs is None or len(subs) != len(space.factors):
+        if len(subs) != len(space.factors):
             raise ConfigError(f"{at}factor_samples", "one sample spec per tensor factor")
         return generate_points(space, "tensor", factors=[
             _build_sample(fac, sub, seed, f"{at}factor_samples.{i}.")
             for i, (fac, sub) in enumerate(zip(space.factors, subs))])
-    if spec["m"] is None and (spec["mode"] != "equispaced" or spec["sizes"] is None):
-        raise ConfigError(f"{at}m", "missing required field (an equispaced sample may give sizes)")
-    if spec["mode"] == "equispaced":
+    if mode == "equispaced":
+        if spec["m"] is None and spec["sizes"] is None:
+            raise ConfigError(f"{at}m", "missing required field (an equispaced sample may give sizes)")
         if spec["sizes"] is not None and len(spec["sizes"]) != space.domain.dim:
             raise ConfigError(f"{at}sizes", f"need {space.domain.dim}, one per dimension")
         return generate_points(space, "equispaced", spec["m"], sizes=spec["sizes"])
     seed = seed if spec["seed"] is None else spec["seed"]
     if seed is None:
         raise ConfigError(f"{at}seed", "random sampling requires a seed")
-    return generate_points(space, spec["mode"], spec["m"], seed=seed)
+    return generate_points(space, mode, spec["m"], seed=seed)
 
 
 def _build_target(desc, path):
-    spectrum, coeffs = _struct(("spectrum", _list_of(lambda v, _: v), REQUIRED),
+    spectrum, coeffs = _struct(("spectrum", FREQUENCIES, REQUIRED),
                                ("coefficients", _list_of(COEFFICIENT), REQUIRED))(desc, path).values()
     try:
         arr = np.asarray(spectrum)
@@ -180,21 +197,20 @@ STUDY = (P, ("eps", EPS, REQUIRED), ("trials", COUNT, REQUIRED),
 # Every field of every kind: (key, caster, default or REQUIRED), read before
 # any work starts; the seed is required where the kind itself draws points.
 FIELDS = {
-    "certify": (SPACE, ("sample", SAMPLE, REQUIRED), P, ("budget", COUNT, 64), SEED),
+    "certify": (SPACE, ("sample", _read_sample, REQUIRED), P, ("budget", COUNT, 64), SEED),
     "nikolskii": (SPACE, ("q", REAL, REQUIRED), SEED),
-    "generate": (SPACE, ("sample", SAMPLE, REQUIRED), SEED),
+    "generate": (SPACE, ("sample", _read_sample, REQUIRED), SEED),
     "subsample": (SPACE, ("q", REAL, REQUIRED), ("eps", EPS, REQUIRED),
                   ("budgets", _struct(("stage1_s", COUNT, REQUIRED), ("stage2_m", COUNT, REQUIRED),
                                       ("retries", NATURAL, 50)), REQUIRED),
                   ("seed", NATURAL, REQUIRED)),
-    "recover": (SPACE, ("sample", SAMPLE, REQUIRED), ("target", _build_target, REQUIRED), P, SEED),
+    "recover": (SPACE, ("sample", _read_sample, REQUIRED), ("target", _build_target, REQUIRED), P, SEED),
     "study-scaling": (("Ns", _list_of(ODD), REQUIRED), ("m_max_factor", POSITIVE, 20.0), *STUDY),
     "study-lacunary": (("ns", _list_of(COUNT), REQUIRED), ("ratio", RATIO, 2.0),
                        ("m_max_factor", POSITIVE, 4.0), *STUDY),
     "study-tensor": (("factors", _list_of(_build_space), REQUIRED),
-                     ("factor_samples", _list_of(SAMPLE), REQUIRED), P, ("budget", COUNT, 64), SEED),
+                     ("factor_samples", _list_of(_read_sample), REQUIRED), P, ("budget", COUNT, 64), SEED),
 }
-KINDS = tuple(FIELDS)
 
 
 @dataclass
@@ -343,8 +359,7 @@ def _run_lacunary(report, ns, ratio, m_max_factor, **study):
 
 def _run_tensor(report, factors, factor_samples, p, budget, seed):
     tensor_space = tensor_product(factors)
-    tensor_set = _build_sample(tensor_space, {"mode": "tensor", "factor_samples": factor_samples},
-                               seed, at="")
+    tensor_set = _build_sample(tensor_space, ("tensor", {"factor_samples": factor_samples}), seed, at="")
     certs = [certify(sp, ps, p, budget=budget) for sp, ps in zip(factors, tensor_set.factors)]
     for i, (ps, cert) in enumerate(zip(tensor_set.factors, certs)):
         report.records.append({"factor": i, "m": ps.m, "certificate": cert.to_dict()})
@@ -372,8 +387,7 @@ RUNNERS = {"certify": _run_certify, "nikolskii": _run_nikolskii, "generate": _ru
 def run_experiment(config: ExperimentConfig) -> Report:
     """Read every field of the config's kind, then run the kind."""
     start = time.monotonic()
-    kind = _read(config.data, "kind", _check(lambda v: v in KINDS, f"expected one of {KINDS}"))
-    values = _fields(config.data, FIELDS[kind], allowed=("kind", "out"))
+    kind, values = _tagged(config.data, "kind", FIELDS, allowed=("out",))
     report = Report(config=config.data, seed=values["seed"])
     RUNNERS[kind](report, **values)
     report.wall_clock_s = time.monotonic() - start

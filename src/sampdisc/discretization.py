@@ -86,6 +86,8 @@ class PointSet:
         if np.iscomplexobj(pts):
             raise InvalidPointError("points must be real, not complex")
         if np.issubdtype(pts.dtype, np.floating):
+            if not np.all(np.isfinite(pts)):
+                raise InvalidPointError("points must be finite")
             pts = np.mod(np.asarray(pts, dtype=float), TWO_PI)
             if pts.ndim == 1:
                 pts = pts[:, None]

@@ -42,7 +42,6 @@ __all__ = [
     "gram_matrix",
     "restrict",
     "space_to_dict",
-    "space_from_dict",
 ]
 
 
@@ -77,6 +76,11 @@ def is_count(value, least=1) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
+def is_ratio(value) -> bool:
+    """True for a finite real number (numpy's too) above 1."""
+    return isinstance(value, numbers.Real) and 1 < value < math.inf
+
+
 class Spectrum:
     """An ordered list of distinct integer frequency vectors.
 
@@ -98,13 +102,15 @@ class Spectrum:
         if arr.ndim != 2 or not np.issubdtype(arr.dtype, np.integer):
             raise InvalidSpectrumError("frequencies must be integer vectors")
         rows = [tuple(int(v) for v in row) for row in arr]
+        if any(not -2 ** 63 < v < 2 ** 63 for row in rows for v in row):
+            raise InvalidSpectrumError("frequencies must lie in [-2**63 + 1, 2**63 - 1]")
         if len(set(rows)) != len(rows):
             raise InvalidSpectrumError("duplicate frequencies in spectrum")
         self._freqs = np.array(rows, dtype=np.int64)
         self._freqs.setflags(write=False)
         if lacunary_ratio is not None:
-            if not 1 < lacunary_ratio < math.inf:
-                raise InvalidRatioError("lacunary ratio must be > 1 and finite")
+            if not is_ratio(lacunary_ratio):
+                raise InvalidRatioError("lacunary ratio must be a number > 1 and finite")
             ks = self._freqs[:, 0]
             if self.dim != 1 or ks[0] != 1 or np.any(ks[1:] < lacunary_ratio * ks[:-1]):
                 raise InvalidSpectrumError("frequencies do not satisfy the lacunary growth condition")
@@ -372,8 +378,8 @@ def make_lacunary_space(n: int, b: float) -> TrigSpace:
     ``k_{j+1} = ceil(b * k_j)``, which is deterministic and reproducible.
     A frequency past the int64 range raises InvalidRatioError.
     """
-    if not 1 < b < math.inf:
-        raise InvalidRatioError("growth ratio must be > 1 and finite")
+    if not is_ratio(b):
+        raise InvalidRatioError("growth ratio must be a number > 1 and finite")
     if not is_count(n):
         raise InvalidSpectrumError(f"need an integer number of frequencies >= 1, got {n!r}")
     ks = [1]
@@ -462,16 +468,3 @@ def space_to_dict(space: Subspace) -> dict:
             out["lacunary_ratio"] = space.spectrum.lacunary_ratio
         return out
     raise UnsupportedDomainError("only torus spaces serialize to JSON")
-
-
-def space_from_dict(desc: dict) -> TrigSpace:
-    """Inverse of :func:`space_to_dict`; also accepts a lacunary shorthand."""
-    kind = desc.get("kind")
-    if kind == "trig":
-        spec = Spectrum(desc["spectrum"], lacunary_ratio=desc.get("lacunary_ratio"))
-        return make_trig_space(desc["dimension"], spec)
-    if kind == "lacunary":
-        return make_lacunary_space(desc["n"], float(desc["ratio"]))
-    if kind == "tensor":
-        return tensor_product([space_from_dict(f) for f in desc["factors"]])
-    raise UnsupportedDomainError(f"unknown space kind {kind!r}")

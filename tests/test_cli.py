@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sampdisc
-from sampdisc.cli import ExperimentConfig, main, run_experiment
+from sampdisc.cli import FIELDS, SAMPLE_FIELDS, SPACE_FIELDS, ExperimentConfig, main, run_experiment
 from sampdisc.errors import ConfigError
 
 
@@ -290,6 +291,8 @@ def test_cli_malformed_field_exits_2_without_traceback(tmp_path, config, field):
 
 
 CERTIFY3 = {"kind": "certify", "space": TRIG3, "sample": {"mode": "iid", "m": 5, "seed": 3}, "p": 2}
+TENSOR33 = {"kind": "tensor", "factors": [TRIG3, TRIG3]}
+FACTOR_SAMPLES = [{"mode": "equispaced", "m": 3}, {"mode": "equispaced", "m": 3}]
 
 
 @pytest.mark.parametrize("config,extra,field", [
@@ -300,6 +303,19 @@ CERTIFY3 = {"kind": "certify", "space": TRIG3, "sample": {"mode": "iid", "m": 5,
     (dict(CERTIFY3, q=7), (), "q"),
     ({"kind": "subsample", "space": TRIG3, "q": 2, "eps": 0.5,
       "budgets": {"stage1_s": 40, "stage2_m": 10, "retry": 5}, "seed": 1}, (), "budgets.retry"),
+    # space and sample fields that their kind or mode does not read, which ran and exited 0,
+    # the last four read by another kind or mode
+    (dict(CERTIFY3, space={"kind": "lacunary", "n": 3, "ratio": 2, "junk": 1}), (), "space.junk"),
+    (dict(CERTIFY3, space=dict(TRIG3, lacunary_raito=2)), (), "space.lacunary_raito"),
+    (dict(CERTIFY3, space={"kind": "tensor", "factors": [dict(TRIG3, junk=1), TRIG3]},
+          sample={"mode": "tensor", "factor_samples": FACTOR_SAMPLES}), (), "space.factors.0.junk"),
+    (dict(CERTIFY3, space=dict(TENSOR33, spectrum=[[0, 0]]),
+          sample={"mode": "tensor", "factor_samples": FACTOR_SAMPLES}), (), "space.spectrum"),
+    (dict(CERTIFY3, space=dict(TRIG3, n=2.5)), (), "space.n"),
+    (dict(CERTIFY3, sample={"mode": "iid", "m": 5, "seed": 3, "sizes": [7]}), (), "sample.sizes"),
+    (dict(CERTIFY3, sample={"mode": "equispaced", "m": 5, "seed": 4}), (), "sample.seed"),
+    (dict(CERTIFY3, space=TENSOR33, sample={"mode": "tensor", "m": 99, "factor_samples": FACTOR_SAMPLES}),
+     (), "sample.m"),
 ])
 def test_cli_unknown_field_exits_2_without_traceback(tmp_path, config, extra, field):
     cfg = tmp_path / "config.json"
@@ -399,6 +415,21 @@ def test_readme_tolerance_table_matches_defaults():
     for name, value in constants.items():
         module, _, attr = name.partition(".")
         assert getattr(importlib.import_module(f"sampdisc.{module}"), attr) == value
+
+
+@pytest.mark.parametrize("intro,tables", [("Experiment kinds and their fields", FIELDS),
+                                          ("Space kinds and their fields", SPACE_FIELDS),
+                                          ("Sample modes and their fields", SAMPLE_FIELDS)])
+def test_readme_field_tables_match_the_cli(intro, tables):
+    # each field of each kind or mode has a README row under that kind or mode, and no other field does
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed, names = {}, []
+    for row in readme.split(intro)[1].split("\n\n")[1].splitlines()[2:]:
+        tag, fields = row.split("|")[1:3]
+        names = re.findall(r"`([^`]+)`", tag) or names
+        for name in names:
+            listed.setdefault(name, set()).update(f.split(".")[0] for f in re.findall(r"`([^`]+)`", fields))
+    assert listed == {name: {f[0] for f in table} for name, table in tables.items()}
 
 
 def _walk_certificates(obj):

@@ -122,6 +122,16 @@ def test_complex_points_are_refused():
         PointSet(np.array([1 + 2j, 3 + 0j]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_refused(value):
+    # NaN was kept and inf became NaN, which to_dict wrote as non-JSON NaN and
+    # certify refused with a shape message
+    with pytest.raises(InvalidPointError, match="finite"):
+        PointSet(np.array([[0.5], [value], [1.5]]))
+    # integer finite-domain indices are unaffected
+    assert PointSet(np.array([0, 2, 1])).points.tolist() == [0, 2, 1]
+
+
 _SP = full_trig_space(2)
 
 

@@ -17,10 +17,10 @@ from sampdisc import (
     make_lacunary_space,
     make_trig_space,
     restrict,
-    space_from_dict,
     space_to_dict,
     tensor_product,
 )
+from sampdisc.cli import _build_space
 from sampdisc.errors import (
     InvalidPointError,
     InvalidRatioError,
@@ -77,12 +77,30 @@ def test_lacunary_bad_ratio():
             make_lacunary_space(3, ratio)
     with pytest.raises(InvalidRatioError):
         Spectrum([1, 2, 4], lacunary_ratio=math.nan)
+    # a string ratio reached the comparison with 1 and raised a raw TypeError
+    with pytest.raises(InvalidRatioError):
+        make_lacunary_space(3, "2")
+    with pytest.raises(InvalidRatioError):
+        Spectrum([1, 2, 4], lacunary_ratio="2")
 
 
 def test_lacunary_fractional_ratio_growth():
     sp = make_lacunary_space(5, 1.5)
     ks = sp.spectrum.frequencies.ravel()
     assert np.all(ks[1:] >= 1.5 * ks[:-1])
+
+
+@pytest.mark.parametrize("frequencies", [[[-2 ** 63], [0]], [2 ** 63]])
+def test_spectrum_refuses_frequencies_past_int64(frequencies):
+    # -2**63 has no int64 absolute value: np.abs wrapped it and the degree read 0,
+    # so certify's grids were undersized; 2**63 raised a raw OverflowError
+    with pytest.raises(InvalidSpectrumError):
+        Spectrum(frequencies)
+
+
+def test_spectrum_keeps_the_int64_extremes():
+    top = 2 ** 63 - 1
+    assert Spectrum([[-top], [top]]).degrees == (top,)
 
 
 def test_spectrum_scalar_input():
@@ -254,14 +272,15 @@ def test_serialization_round_trip():
         make_lacunary_space(4, 2),
         tensor_product([full_trig_space(1), make_trig_space(1, [[k] for k in range(-2, 3)])]),
     ):
-        back = space_from_dict(space_to_dict(sp))
+        back = _build_space(space_to_dict(sp), "space")
         assert back.dim == sp.dim
         assert back.domain.dim == sp.domain.dim
         assert np.array_equal(back.spectrum.frequencies, sp.spectrum.frequencies)
+        assert space_to_dict(back) == space_to_dict(sp)
 
 
 def test_lacunary_shorthand_description():
-    sp = space_from_dict({"kind": "lacunary", "n": 3, "ratio": 2})
+    sp = _build_space({"kind": "lacunary", "n": 3, "ratio": 2}, "space")
     assert sp.spectrum.frequencies.ravel().tolist() == [1, 2, 4]
 
 
