@@ -37,6 +37,11 @@ import numpy as np
 # 2**-k, the step factor after k halvings
 _SCALES = 0.5 ** np.arange(26)
 
+# extremize_ratio's stall rule: stop when every sense's best log-ratio has
+# moved by at most _STALL_REL over the last _STALL_STEPS steps
+_STALL_STEPS = 10
+_STALL_REL = 1e-12
+
 # exponent of the power mean that stands in for a maximum over a grid
 SMOOTH_SUP_P = 64.0
 
@@ -89,13 +94,18 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=(Fa
     ``maximize`` holds one bool and ``seed`` one seed per sense. Each sense
     draws its restarts from its own seed after its copy of ``extra_starts``
     and picks its best restart among its own rows. Returns ``(ratios, cs,
-    report)``, one ratio and one c per sense. The search takes up to 150
-    steps along the gradient of log R with per-restart step halving and
-    sphere renormalization (R is scale-invariant). A minimum found is an
-    upper bound on the true infimum and a maximum found a lower bound on
-    the true supremum. The report holds ``iterations`` (gradient steps),
-    ``restarts`` (rows, over every sense) and ``evaluations`` (objective
-    calls).
+    report)``, one ratio and one c per sense. The search steps along the
+    gradient of log R with per-restart step halving and sphere
+    renormalization (R is scale-invariant). It stops when every sense's
+    best log R over its rows has moved by at most ``_STALL_REL`` over the
+    last ``_STALL_STEPS`` steps (``stall``), when no restart is left
+    (``no-step``: a restart drops out after a step that did not move it
+    and left its step size at most 1e-13), or after 150 steps (``cap``),
+    and returns the ratios at the rows where it stopped. A minimum found
+    is an upper bound on the true infimum and a maximum found a lower
+    bound on the true supremum. The report holds ``iterations`` (gradient
+    steps), ``restarts`` (rows, over every sense), ``evaluations``
+    (objective calls) and ``stop``.
 
     Numerator hook: for ``p = 2s`` with ``den_mat`` the exact rule V,
     ``den_w`` its weights gamma and ``lift = (B, L)``, the search steers on
@@ -143,9 +153,16 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=(Fa
     evaluations = 1
     step = np.full(C.shape[0], 0.25)
     active = np.ones(C.shape[0], dtype=bool)
+    bests = []  # each sense's best signed log-ratio at the top of each step
+    stop = "cap"
     it = 0
     for it in range(150):
         if not np.any(active):
+            stop = "no-step"
+            break
+        bests.append(F.reshape(len(maximize), rows).min(axis=1))
+        if len(bests) > _STALL_STEPS and np.all(bests[-1 - _STALL_STEPS] - bests[-1] <= _STALL_REL):
+            stop = "stall"
             break
         Gn = numerator_grad(Yn, Yd)
         Gd = _power_grad(den_mat, den_w, q, Yd)
@@ -188,7 +205,7 @@ def extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, maximize=(Fa
     if lift is not None:  # report the direct sum, not the steering one
         Sn = _power_sum(C @ num_mat.T, num_w, p)
     ratios = Sn / np.maximum(Sd, 1e-300) ** k_den
-    report = {"iterations": it + 1, "restarts": int(C.shape[0]), "evaluations": evaluations}
+    report = {"iterations": it + 1, "restarts": int(C.shape[0]), "evaluations": evaluations, "stop": stop}
     best = [lo + int(np.argmax(ratios[lo:lo + rows]) if mx else np.argmin(ratios[lo:lo + rows]))
             for lo, mx in zip(range(0, C.shape[0], rows), maximize)]
     return tuple(float(ratios[b]) for b in best), tuple(C[b] for b in best), report

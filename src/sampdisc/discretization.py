@@ -91,8 +91,10 @@ class PointSet:
             pts = np.mod(np.asarray(pts, dtype=float), TWO_PI)
             if pts.ndim == 1:
                 pts = pts[:, None]
-        else:
+        elif np.issubdtype(pts.dtype, np.integer):
             pts = pts.copy()
+        else:
+            raise InvalidPointError(f"points must be floats or integer indices, got dtype {pts.dtype}")
         self.points = pts
         self.points.setflags(write=False)
         self.provenance = dict(provenance or {})
@@ -162,12 +164,16 @@ def generate_points(space: Subspace, mode: str, m: int | None = None, *,
     ``tensor`` takes the cartesian product of factor point sets;
     ``leverage`` draws from the normalized Christoffel density by
     rejection sampling and returns a weighted :class:`PointSet` whose
-    weights are the matching reciprocals ``N / (m k(x_j))``.
+    weights are the matching reciprocals ``N / (m k(x_j))``. A size past
+    ``norms._MAX_GRID`` points (m, or the grid's node count) raises
+    InvalidSampleError before anything is drawn or built.
     """
     if mode in ("iid", "leverage"):
         if seed is None:
             raise MissingSeedError(f"{mode} generation requires a seed")
         _check_count(m, "m")
+        if m > norms._MAX_GRID:
+            raise InvalidSampleError(f"{mode} generation needs {m} points, more than {norms._MAX_GRID}")
         try:
             rng = np.random.default_rng(seed)
         except (TypeError, ValueError) as exc:
@@ -186,7 +192,7 @@ def generate_points(space: Subspace, mode: str, m: int | None = None, *,
         sizes = list(sizes)
         if len(sizes) != d or not all(map(is_count, sizes)):
             raise InvalidSampleError(f"need {d} integer grid sizes >= 1, got {sizes!r}")
-        sizes = [int(s) for s in sizes]
+        sizes = norms._capped(space, [int(s) for s in sizes], InvalidSampleError, "an equispaced sample")
         return PointSet(torus_grid(sizes), {"mode": "equispaced", "sizes": sizes})
 
     if mode == "tensor":

@@ -290,6 +290,26 @@ def test_cli_malformed_field_exits_2_without_traceback(tmp_path, config, field):
     assert f"config error: {field}:" in proc.stderr
 
 
+@pytest.mark.parametrize("config", [
+    # iid m = 10**11 asked numpy for 745 GiB; m = 1e308 and sizes [1e308]
+    # ended in numpy's raw "Maximum allowed dimension exceeded"
+    {"kind": "generate", "space": TRIG3, "sample": {"mode": "iid", "m": 10 ** 11}, "seed": 1},
+    {"kind": "certify", "space": TRIG3, "sample": {"mode": "iid", "m": 1e308, "seed": 3}, "p": 2},
+    {"kind": "generate", "space": TRIG3, "sample": {"mode": "equispaced", "sizes": [1e308]}},
+], ids=["generate-iid-1e11", "certify-iid-1e308", "generate-equispaced-1e308"])
+def test_cli_sample_past_the_cap_exits_2_without_traceback(tmp_path, config):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    src = str(Path(sampdisc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "sampdisc.cli", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"more than {sampdisc.norms._MAX_GRID}" in proc.stderr
+
+
 CERTIFY3 = {"kind": "certify", "space": TRIG3, "sample": {"mode": "iid", "m": 5, "seed": 3}, "p": 2}
 TENSOR33 = {"kind": "tensor", "factors": [TRIG3, TRIG3]}
 FACTOR_SAMPLES = [{"mode": "equispaced", "m": 3}, {"mode": "equispaced", "m": 3}]

@@ -132,6 +132,31 @@ def test_non_finite_points_are_refused(value):
     assert PointSet(np.array([0, 2, 1])).points.tolist() == [0, 2, 1]
 
 
+@pytest.mark.parametrize("points", [[["a"]], [[None]], np.array([True, False]), np.array([[0.5], [1]], dtype=object)],
+                         ids=["string", "none", "bool", "object"])
+def test_non_numeric_points_are_refused(points):
+    # a string point ended in a raw ValueError inside certify, and booleans
+    # certified as the points 1 and 0
+    with pytest.raises(InvalidPointError, match="dtype"):
+        PointSet(points)
+
+
+def test_generate_points_refuses_sizes_past_the_cap_before_drawing(monkeypatch):
+    # iid m = 10**11 asked numpy for 745 GiB
+    monkeypatch.setattr(TrigSpace, "draw", lambda *a: pytest.fail("drew points"))
+    monkeypatch.setattr(discretization, "torus_grid", lambda sizes: pytest.fail("built the grid"))
+    big = norms._MAX_GRID + 1
+    sp = full_trig_space(2)
+    for mode in ("iid", "leverage"):
+        with pytest.raises(InvalidSampleError, match="more than"):
+            generate_points(sp, mode, big, seed=1)
+    with pytest.raises(InvalidSampleError, match="more than"):
+        generate_points(sp, "equispaced", big)
+    sp2 = make_trig_space(2, [[0, 0], [1, 0], [0, 1]])
+    with pytest.raises(InvalidSampleError, match="more than"):
+        generate_points(sp2, "equispaced", sizes=[2049, 2048])
+
+
 _SP = full_trig_space(2)
 
 

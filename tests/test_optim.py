@@ -12,11 +12,13 @@ from sampdisc.discretization import PointSet, _sumset_space
 
 
 def sequential_extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, iters=150,
-                               maximize=False, seed=(0xD15C, 0), extra_starts=None):
+                               maximize=False, seed=(0xD15C, 0), extra_starts=None, stall=True):
     """Frozen reference: one objective call per step halving.
 
     This is extremize_ratio as it was before halvings were stacked, plus an
-    ``evaluations`` count; the stacked loop must reproduce it bit for bit.
+    ``evaluations`` count and, unless ``stall`` is False, the stall rule of
+    ``_optim._STALL_STEPS`` and ``_optim._STALL_REL``; the stacked loop must
+    reproduce it bit for bit.
     """
     n = num_mat.shape[1]
     rng = np.random.default_rng(seed)
@@ -45,9 +47,17 @@ def sequential_extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, i
     evaluations = 1
     step = np.full(C.shape[0], 0.25)
     active = np.ones(C.shape[0], dtype=bool)
+    bests = []
+    stop = "cap"
     it = 0
     for it in range(iters):
         if not np.any(active):
+            stop = "no-step"
+            break
+        bests.append(F.min())
+        window = _optim._STALL_STEPS
+        if stall and len(bests) > window and bests[-1 - window] - bests[-1] <= _optim._STALL_REL:
+            stop = "stall"
             break
         Gn = grad(num_mat, num_w, Yn)
         Gd = grad(den_mat, den_w, Yd)
@@ -75,7 +85,7 @@ def sequential_extremize_ratio(num_mat, num_w, den_mat, den_w, p, restarts=64, i
         active &= moved | (step > 1e-13)
     ratios = Sn / np.maximum(Sd, 1e-300)
     best = int(np.argmax(ratios)) if maximize else int(np.argmin(ratios))
-    report = {"iterations": it + 1, "restarts": int(C.shape[0]), "evaluations": evaluations}
+    report = {"iterations": it + 1, "restarts": int(C.shape[0]), "evaluations": evaluations, "stop": stop}
     return float(ratios[best]), C[best], report
 
 
@@ -137,6 +147,35 @@ def test_stacked_halving_matches_sequential_loop(name):
         assert np.array_equal(c, ref_c)
         assert {k: v for k, v in report.items() if k != "evaluations"} == \
             {k: v for k, v in ref_report.items() if k != "evaluations"}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_stalled_search_agrees_with_the_full_loop(name):
+    # the stall rule ends the search, but its best moves by at most 1e-9
+    # relative from where the loop without the rule would have ended
+    args, kw = _case(name)
+    ref_ratio, _, ref_report = sequential_extremize_ratio(*args, **kw, stall=False)
+    (ratio,), _, report = _optim.extremize_ratio(*args, **one_sense(kw))
+    assert ratio == pytest.approx(ref_ratio, rel=1e-9)
+    assert report["iterations"] <= ref_report["iterations"]
+
+
+def test_stop_names_the_rule_that_ended_the_search(monkeypatch):
+    args, kw = _case("lacunary-min")
+    _, _, report = _optim.extremize_ratio(*args, **one_sense(kw))
+    assert report["stop"] == "stall"
+    assert report["iterations"] < 150
+    # a window as long as the step cap can never fill, so the loop ends as
+    # it did without the rule: on the cap, or with every restart inactive
+    monkeypatch.setattr(_optim, "_STALL_STEPS", 150)
+    for name in CASES:
+        args, kw = _case(name)
+        _, _, report = _optim.extremize_ratio(*args, **one_sense(kw))
+        _, _, ref_report = sequential_extremize_ratio(*args, **kw, stall=False)
+        assert report["stop"] in ("cap", "no-step")
+        assert report["stop"] == ref_report["stop"]
+        assert report["iterations"] == ref_report["iterations"]
+        assert (report["stop"] == "cap") == (report["iterations"] == 150)
 
 
 @pytest.mark.parametrize("p,q", [(64.0, 3.0), (64.0, 1.5), (4.0, 2.0), (3.0, 5.0)])
